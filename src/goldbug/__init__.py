@@ -1,5 +1,7 @@
 """Exact plan-view geometry of the treasure dig in Poe's The Gold-Bug."""
 
+import importlib
+
 from .analysis import (
     ClaimResult,
     OverlapReport,
@@ -16,7 +18,6 @@ from .analysis import (
     sweep,
     verify_claims,
 )
-from .oracle import McEstimate, center_distance_oracle, lens_area_mc, overlap_oracle_grid
 from .render import CanvasFitError, CanvasSpec, render_svg
 from .scenario import (
     Convention,
@@ -39,6 +40,18 @@ from .units import (
 )
 
 __version__ = "0.1.0"
+
+# The oracle needs numpy, which costs more to import than the rest of the
+# package together: its names load on first use (PEP 562).
+_ORACLE_NAMES = ("McEstimate", "center_distance_oracle", "lens_area_mc", "overlap_oracle_grid")
+
+
+def __getattr__(name: str):
+    if name == "oracle" or name in _ORACLE_NAMES:
+        oracle = importlib.import_module(".oracle", __name__)
+        return oracle if name == "oracle" else getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CanvasFitError",

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Any
 
 from .scenario import (
     DEFAULT_EXTENSION,
@@ -21,6 +23,7 @@ from .scenario import (
     Convention,
     Scenario,
     center_distance,
+    scenario_violation,
 )
 from .units import DomainError, Length, format_feet_inches
 
@@ -69,9 +72,12 @@ def overlap_report(s: Scenario) -> OverlapReport:
     margin = ab - radii_sum
     overlaps = margin < 0
     if overlaps:
-        lens = lens_area(
-            float(ab), float(s.hole_radius_a.feet), float(s.hole_radius_b.feet)
-        )
+        radius_a, radius_b = s.hole_radius_a.feet, s.hole_radius_b.feet
+        # Containment is decided on the rationals: at exact internal
+        # tangency the float test inside lens_area can miss it.  Distance 0
+        # takes lens_area's full-disc branch, input checks included.
+        distance = 0.0 if ab <= abs(radius_a - radius_b) else float(ab)
+        lens = lens_area(distance, float(radius_a), float(radius_b))
     else:
         # Rational gate: margin >= 0 means zero intersection exactly, no
         # float rounding allowed to say otherwise.
@@ -108,8 +114,9 @@ def lens_area(distance: float, radius_a: float, radius_b: float) -> float:
 
     if distance >= radius_a + radius_b:
         return 0.0
+    full = math.pi * min(radius_a, radius_b) ** 2
     if distance <= abs(radius_a - radius_b):
-        return math.pi * min(radius_a, radius_b) ** 2
+        return full
 
     # Work in units of the larger radius so squares neither overflow nor
     # underflow whatever the caller's scale.
@@ -118,18 +125,20 @@ def lens_area(distance: float, radius_a: float, radius_b: float) -> float:
     d2 = d * d
     if d2 == 0.0:
         # Separation below sqrt-underflow: indistinguishable from containment.
-        return math.pi * min(radius_a, radius_b) ** 2
+        return full
     a2 = ra * ra
     b2 = rb * rb
     # Clamp acos arguments: they can drift a few ulp past +-1 near tangency.
     cos_a = min(1.0, max(-1.0, (d2 + a2 - b2) / (2.0 * d * ra)))
     cos_b = min(1.0, max(-1.0, (d2 + b2 - a2) / (2.0 * d * rb)))
     kernel = (-d + ra + rb) * (d + ra - rb) * (d - ra + rb) * (d + ra + rb)
-    return (s * s) * (
+    area = (s * s) * (
         a2 * math.acos(cos_a)
         + b2 * math.acos(cos_b)
         - 0.5 * math.sqrt(max(0.0, kernel))
     )
+    # Near internal tangency the segment sum can round past the full disc.
+    return min(area, full)
 
 
 def nonoverlap_threshold(
@@ -214,6 +223,21 @@ def _check_threshold_inputs(
 # Parameter sweeps
 # ---------------------------------------------------------------------------
 
+# The scenario lengths, in the order the sweep kernel holds them as ints.
+_KERNEL_FIELDS = (
+    "trunk_radius",
+    "socket_offset",
+    "socket_separation",
+    "extension",
+    "hole_radius_a",
+    "hole_radius_b",
+)
+# Longest inner sweep axis whose labels are kept for reuse (a few MB).
+_KEPT_LABELS = 10_000
+
+# Called as label(axis, value) to tag each grid value in SweepGrid.rows.
+Label = Callable[["SweepAxis", Length], Any]
+
 
 @dataclass(frozen=True)
 class SweepAxis:
@@ -222,13 +246,9 @@ class SweepAxis:
     stop: Length
     step: Length
 
-    def values(self) -> list[Length]:
-        out = []
-        value = self.start
-        while value.inches <= self.stop.inches:
-            out.append(value)
-            value = value + self.step
-        return out
+    def count(self) -> int:
+        """How many of start, start+step, start+2*step, ... are <= stop."""
+        return (self.stop.inches - self.start.inches) // self.step.inches + 1
 
 
 @dataclass(frozen=True)
@@ -244,6 +264,112 @@ class SweepTable:
     rows: tuple[SweepRow, ...]
 
 
+class SweepGrid:
+    """A checked sweep whose rows are computed in integer arithmetic.
+
+    Every base and axis length is an integer count of 1/scale inch, scale
+    being the least common denominator of the six base lengths and of the
+    axis starts and steps, so a grid point is six ints and its verdict is an
+    int comparison.  The constructor raises DomainError for anything that
+    rejects the whole sweep, the row count included, before it builds a
+    single grid value.
+    """
+
+    def __init__(self, base: Scenario, axes: Sequence[SweepAxis]) -> None:
+        if not 1 <= len(axes) <= 2:
+            raise DomainError(f"sweep takes 1 or 2 axes, got {len(axes)}")
+        seen = set()
+        for axis in axes:
+            if axis.param not in SWEEP_PARAMS:
+                raise DomainError(
+                    f'unknown sweep parameter "{axis.param}" '
+                    f"(expected one of {', '.join(SWEEP_PARAMS)})"
+                )
+            if axis.param in seen:
+                raise DomainError(f'duplicate sweep parameter "{axis.param}"')
+            seen.add(axis.param)
+            if axis.step.inches <= 0:
+                raise DomainError(f"sweep step for {axis.param} must be > 0")
+            if axis.start.inches > axis.stop.inches:
+                raise DomainError(f"sweep start > stop for {axis.param}")
+        total = math.prod(axis.count() for axis in axes)
+        if total > SWEEP_ROW_LIMIT:
+            raise DomainError(f"sweep would produce {total} rows (limit {SWEEP_ROW_LIMIT})")
+        lengths = [getattr(base, field) for field in _KERNEL_FIELDS]
+        self.base = base
+        self.axes = tuple(axes)
+        self.scale = math.lcm(
+            *(x.denominator for x in lengths),
+            *(x.denominator for axis in axes for x in (axis.start, axis.step)),
+        )
+        self._fields = [self._count(x) for x in lengths]
+
+    def _count(self, x: Length) -> int:
+        return x.numerator * (self.scale // x.denominator)
+
+    def _labelled(self, axis: SweepAxis, label: Label) -> Iterator[tuple[int, Any]]:
+        start, step = self._count(axis.start), self._count(axis.step)
+        for value in range(start, start + axis.count() * step, step):
+            yield value, label(axis, Length(Fraction(value, self.scale)))
+
+    def _points(self, label: Label) -> Iterator[tuple[tuple, tuple[int, ...]]]:
+        """(labels, (r, L, d, E, rA, rB)) per grid point, in lexicographic
+        axis order.  Each outer value is labelled when the loop reaches it.
+        Inner labels are made once and reused when the inner axis is at most
+        _KEPT_LABELS long, and remade per row beyond that, so memory stays
+        bounded whatever the grid."""
+        fields = self._fields.copy()
+        outer = self.axes[0]
+        s0 = _KERNEL_FIELDS.index(SWEEP_PARAMS[outer.param])
+        if len(self.axes) == 1:
+            for fields[s0], l0 in self._labelled(outer, label):
+                yield (l0,), tuple(fields)
+            return
+        inner = self.axes[1]
+        s1 = _KERNEL_FIELDS.index(SWEEP_PARAMS[inner.param])
+        kept = list(self._labelled(inner, label)) if inner.count() <= _KEPT_LABELS else None
+        for fields[s0], l0 in self._labelled(outer, label):
+            for fields[s1], l1 in kept or self._labelled(inner, label):
+                yield (l0, l1), tuple(fields)
+
+    def rows(self, label: Label) -> Iterator[tuple]:
+        """Evaluate the grid lazily, one tuple per point:
+
+            (labels, reason, ab, radii, margin, den, overlaps, lens)
+
+        ``labels`` holds ``label(axis, value)`` for each axis value of the
+        point (see _points for how often label runs).  A valid point has
+        reason None, AB, the radii sum and the margin in feet as ab/den,
+        radii/den and margin/den, and the lens area in square feet.  An
+        invalid point has the reason that Scenario would raise, and None in
+        every later slot.
+        """
+        from_trunk = self.base.convention is Convention.FROM_TRUNK
+        feet = 12 * self.scale
+        for labels, (r, L, d, E, rA, rB) in self._points(label):
+            reason = scenario_violation(r, L, d, E, rA, rB, from_trunk)
+            if reason is not None:
+                yield labels, reason, None, None, None, None, None, None
+                continue
+            drop = r + L
+            ab = d * (r + E if from_trunk else drop + E)
+            radii = (rA + rB) * drop
+            margin = ab - radii
+            den = drop * feet
+            overlaps = margin < 0
+            lens = 0.0
+            if overlaps:
+                # The same floats overlap_report passes, and the same exact
+                # containment gate.
+                distance = 0.0 if ab <= abs(rA - rB) * drop else ab / den
+                try:
+                    lens = lens_area(distance, rA / feet, rB / feet)
+                except DomainError as exc:
+                    yield labels, str(exc), None, None, None, None, None, None
+                    continue
+            yield labels, None, ab, radii, margin, den, overlaps, lens
+
+
 def sweep(base: Scenario, axes: list[SweepAxis]) -> SweepTable:
     """Evaluate overlap reports on an exact rational grid.
 
@@ -251,44 +377,24 @@ def sweep(base: Scenario, axes: list[SweepAxis]) -> SweepTable:
     scenario invariants yields an invalid row with the reason rather than
     aborting the sweep.
     """
-    if not 1 <= len(axes) <= 2:
-        raise DomainError(f"sweep takes 1 or 2 axes, got {len(axes)}")
-    seen = set()
-    for axis in axes:
-        if axis.param not in SWEEP_PARAMS:
-            raise DomainError(
-                f'unknown sweep parameter "{axis.param}" '
-                f"(expected one of {', '.join(SWEEP_PARAMS)})"
-            )
-        if axis.param in seen:
-            raise DomainError(f'duplicate sweep parameter "{axis.param}"')
-        seen.add(axis.param)
-        if axis.step.inches <= 0:
-            raise DomainError(f"sweep step for {axis.param} must be > 0")
-        if axis.start.inches > axis.stop.inches:
-            raise DomainError(f"sweep start > stop for {axis.param}")
-
-    value_lists = [axis.values() for axis in axes]
-    total = math.prod(len(v) for v in value_lists)
-    if total > SWEEP_ROW_LIMIT:
-        raise DomainError(f"sweep would produce {total} rows (limit {SWEEP_ROW_LIMIT})")
-
-    combos: list[tuple[Length, ...]]
-    if len(axes) == 1:
-        combos = [(v,) for v in value_lists[0]]
-    else:
-        combos = [(v0, v1) for v0 in value_lists[0] for v1 in value_lists[1]]
-
+    grid = SweepGrid(base, axes)
     rows = []
-    for combo in combos:
-        assignment = tuple(zip((a.param for a in axes), combo))
-        overrides = {SWEEP_PARAMS[p]: v for p, v in assignment}
-        try:
-            report = overlap_report(replace(base, **overrides))
-            rows.append(SweepRow(assignment, report))
-        except DomainError as exc:
-            rows.append(SweepRow(assignment, None, str(exc)))
-    return SweepTable(tuple(axes), tuple(rows))
+    for values, reason, ab, radii, margin, den, overlaps, lens in grid.rows(
+        lambda axis, x: (axis.param, x)
+    ):
+        if reason is not None:
+            rows.append(SweepRow(values, None, reason))
+            continue
+        report = OverlapReport(
+            ab_ft=Fraction(ab, den),
+            radii_sum_ft=Fraction(radii, den),
+            overlaps=overlaps,
+            margin_ft=Fraction(margin, den),
+            lens_area_sqft=lens,
+            scenario=replace(base, **{SWEEP_PARAMS[p]: x for p, x in values}),
+        )
+        rows.append(SweepRow(values, report))
+    return SweepTable(grid.axes, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
 from pathlib import Path
 
@@ -176,7 +177,7 @@ def _load_config(args: argparse.Namespace) -> dict[str, str]:
         return {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config file {path}: {exc}") from exc
     config: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -210,12 +211,30 @@ def _parse_length_flag(key: str, raw: str) -> Length:
         raise CliError(f"--{key}: {exc}") from exc
 
 
-def _build_scenario(args: argparse.Namespace, config: dict[str, str]) -> Scenario:
+def _reject_depth(args: argparse.Namespace) -> None:
     if getattr(args, "depth", None) is not None:
         raise CliError(
             "--depth: hole depth is not modeled; this tool analyzes plan-view "
             "overlap only (see README, scope)"
         )
+
+
+def _convention(args: argparse.Namespace, config: dict[str, str]) -> Convention | None:
+    """The --convention flag or config value, checked; None when unset."""
+    raw = _effective(args, config, "convention")
+    if raw is None:
+        return None
+    try:
+        return Convention(raw)
+    except ValueError as exc:
+        raise CliError(
+            f"--convention: unknown value {raw!r} "
+            f"(expected {' or '.join(c.value for c in Convention)})"
+        ) from exc
+
+
+def _build_scenario(args: argparse.Namespace, config: dict[str, str]) -> Scenario:
+    _reject_depth(args)
     fields: dict[str, object] = {}
     for key in ("r", "L", "d", "E", "rA", "rB"):
         raw = _effective(args, config, key)
@@ -224,15 +243,9 @@ def _build_scenario(args: argparse.Namespace, config: dict[str, str]) -> Scenari
     for required in ("r", "L"):
         if SCENARIO_FIELDS[required] not in fields:
             raise CliError(f"--{required} is required (flag or config file)")
-    convention = _effective(args, config, "convention")
+    convention = _convention(args, config)
     if convention is not None:
-        try:
-            fields["convention"] = Convention(convention)
-        except ValueError as exc:
-            raise CliError(
-                f"--convention: unknown value {convention!r} "
-                f"(expected {' or '.join(c.value for c in Convention)})"
-            ) from exc
+        fields["convention"] = convention
     try:
         return Scenario(**fields)  # type: ignore[arg-type]
     except DomainError as exc:
@@ -291,11 +304,7 @@ def _threshold_line(label: str, t: analysis.Threshold) -> str:
 
 def _cmd_threshold(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    if getattr(args, "depth", None) is not None:
-        raise CliError(
-            "--depth: hole depth is not modeled; this tool analyzes plan-view "
-            "overlap only (see README, scope)"
-        )
+    _reject_depth(args)
     values: dict[str, Length] = {}
     for key in ("rA", "rB"):
         raw = _effective(args, config, key)
@@ -305,8 +314,7 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
     for key, default in (("d", "2.5in"), ("E", "50ft")):
         values[key] = _parse_length_flag(key, _effective(args, config, key) or default)
 
-    convention_raw = _effective(args, config, "convention")
-    convention = Convention(convention_raw) if convention_raw else Convention.FROM_DROP_POINT
+    convention = _convention(args, config) or Convention.FROM_DROP_POINT
     trunk_raw = _effective(args, config, "r")
     trunk = _parse_length_flag("r", trunk_raw) if trunk_raw is not None else None
 
@@ -375,6 +383,21 @@ def _parse_axis(spec: str) -> analysis.SweepAxis:
     return analysis.SweepAxis(param.strip(), start, stop, step)
 
 
+def _sweep_text(grid: analysis.SweepGrid) -> Iterator[str]:
+    header = "".join(f"{axis.param:<12}" for axis in grid.axes)
+    yield f"{header}{'AB (ft)':<16}{'margin (ft)':<16}verdict\n"
+    for cells, reason, ab, _, margin, den, overlaps, _ in grid.rows(
+        lambda axis, x: f"{str(x):<12}"
+    ):
+        if reason is not None:
+            yield f"{''.join(cells)}{'-':<16}{'-':<16}invalid: {reason}\n"
+        else:
+            yield (
+                f"{''.join(cells)}{ab / den:<16.6f}{margin / den:<16.6f}"
+                f"{'overlap' if overlaps else 'clear'}\n"
+            )
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_config(args)
     if not args.axis:
@@ -382,25 +405,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     axes = [_parse_axis(spec) for spec in args.axis]
     base = _build_scenario(args, config)
     try:
-        table = analysis.sweep(base, axes)
+        grid = analysis.SweepGrid(base, axes)
     except DomainError as exc:
         raise CliError(str(exc)) from exc
-
+    # Every check that can reject the sweep has run: rows stream from here.
     if _output_format(args, config) == "json":
-        print(json.dumps(jsonio.sweep_to_json(table), indent=2))
-        return EXIT_OK
-    header = "".join(f"{axis.param:<12}" for axis in table.axes)
-    print(f"{header}{'AB (ft)':<16}{'margin (ft)':<16}verdict")
-    for row in table.rows:
-        cells = "".join(f"{str(v):<12}" for _, v in row.values)
-        if row.report is None:
-            print(f"{cells}{'-':<16}{'-':<16}invalid: {row.invalid_reason}")
-        else:
-            print(
-                f"{cells}{float(row.report.ab_ft):<16.6f}"
-                f"{float(row.report.margin_ft):<16.6f}"
-                f"{'overlap' if row.report.overlaps else 'clear'}"
-            )
+        sys.stdout.writelines(jsonio.iter_sweep_json(grid))
+        sys.stdout.write("\n")
+    else:
+        sys.stdout.writelines(_sweep_text(grid))
     return EXIT_OK
 
 

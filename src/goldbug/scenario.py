@@ -40,6 +40,36 @@ DEFAULT_EXTENSION = parse_length("50ft")
 DEFAULT_HOLE_RADIUS = parse_length("2ft")
 
 
+def scenario_violation(r, L, d, E, rA, rB, from_trunk: bool) -> str | None:
+    """Why a dig layout is invalid, or None when it is valid.
+
+    The six lengths may be in any one unit (Fractions of an inch, or ints
+    counting a common fraction of an inch): only signs and comparisons
+    matter.  This is the single rule set behind :class:`Scenario` and the
+    sweep kernel, checked in this order.
+    """
+    if r < 0:
+        return "trunk radius (r) must be >= 0"
+    if L <= 0:
+        return "socket offset (L) must be > 0"
+    if d <= 0:
+        return "socket separation (d) must be > 0"
+    if E < 0:
+        return "extension (E) must be >= 0"
+    if rA <= 0:
+        return "first hole radius (rA) must be > 0"
+    if rB <= 0:
+        return "second hole radius (rB) must be > 0"
+    if d > 2 * (r + L):
+        return (
+            "socket separation (d) exceeds the drop-point diameter: "
+            "d/2 must be <= r+L"
+        )
+    if from_trunk and not r + E > 0:
+        return "from-trunk convention requires r+E > 0"
+    return None
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One dig layout; immutable and validated on construction."""
@@ -53,27 +83,17 @@ class Scenario:
     convention: Convention = Convention.FROM_DROP_POINT
 
     def __post_init__(self) -> None:
-        if self.trunk_radius.inches < 0:
-            raise DomainError("trunk radius (r) must be >= 0")
-        if self.socket_offset.inches <= 0:
-            raise DomainError("socket offset (L) must be > 0")
-        if self.socket_separation.inches <= 0:
-            raise DomainError("socket separation (d) must be > 0")
-        if self.extension.inches < 0:
-            raise DomainError("extension (E) must be >= 0")
-        if self.hole_radius_a.inches <= 0:
-            raise DomainError("first hole radius (rA) must be > 0")
-        if self.hole_radius_b.inches <= 0:
-            raise DomainError("second hole radius (rB) must be > 0")
-        if self.socket_separation.inches > 2 * self.drop_radius.inches:
-            raise DomainError(
-                "socket separation (d) exceeds the drop-point diameter: "
-                "d/2 must be <= r+L"
-            )
-        if self.convention is Convention.FROM_TRUNK and not (
-            self.trunk_radius.inches + self.extension.inches > 0
-        ):
-            raise DomainError("from-trunk convention requires r+E > 0")
+        reason = scenario_violation(
+            self.trunk_radius.inches,
+            self.socket_offset.inches,
+            self.socket_separation.inches,
+            self.extension.inches,
+            self.hole_radius_a.inches,
+            self.hole_radius_b.inches,
+            self.convention is Convention.FROM_TRUNK,
+        )
+        if reason is not None:
+            raise DomainError(reason)
 
     @property
     def drop_radius(self) -> Length:

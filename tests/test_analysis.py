@@ -139,6 +139,33 @@ def test_lens_containment_is_the_smaller_circle():
     assert lens_area(1.0, 1.0, 2.0) == math.pi * 1.0
 
 
+# Sites at exact internal tangency, AB = rA - rB: with r = 0 at the story's
+# d and E, AB = (53/24, 29/24) ft, rA = (35/12, 13/6) ft, rB = (17/24, 23/24) ft.
+INTERNAL_TANGENCY = [
+    (Fraction(125, 2), Fraction(35), Fraction(17, 2)),
+    (Fraction(125), Fraction(26), Fraction(23, 2)),
+]
+
+
+@pytest.mark.parametrize("offset,ra,rb", INTERNAL_TANGENCY)
+def test_exact_internal_tangency_is_containment(offset, ra, rb):
+    s = Scenario(
+        trunk_radius=Length.from_inches(0),
+        socket_offset=Length.from_inches(offset),
+        hole_radius_a=Length.from_inches(ra),
+        hole_radius_b=Length.from_inches(rb),
+    )
+    rep = overlap_report(s)
+    assert rep.ab_ft == (ra - rb) / 12
+    assert rep.lens_area_sqft == math.pi * float(rb / 12) ** 2
+
+
+@pytest.mark.parametrize("offset,ra,rb", INTERNAL_TANGENCY)
+def test_lens_never_exceeds_the_smaller_disc(offset, ra, rb):
+    ab, fa, fb = float((ra - rb) / 12), float(ra / 12), float(rb / 12)
+    assert lens_area(ab, fa, fb) <= math.pi * fb**2
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [

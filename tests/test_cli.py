@@ -1,5 +1,10 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +15,7 @@ from goldbug.scenario import Scenario
 from goldbug.units import parse_length
 
 STORY_ARGS = ["--r", "2in", "--L", "3ft"]
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -288,6 +294,39 @@ def test_sweep_rejects_unknown_param(capsys):
     assert 'unknown sweep parameter "bogus"' in err
 
 
+def _run_child(code, *argv, memory_mb=None):
+    """Run a goldbug snippet in a fresh interpreter, optionally with its
+    address space capped."""
+
+    def cap():
+        if memory_mb is not None:
+            limit = memory_mb * 2**20
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=60,
+        preexec_fn=cap,
+    )
+
+
+def test_sweep_row_limit_is_checked_before_any_grid_value():
+    # 999,999,001 rows: refused from the exact count, with no value built.
+    proc = _run_child(
+        "import sys; from goldbug.cli import main; sys.exit(main(sys.argv[1:]))",
+        "sweep", *STORY_ARGS, "--axis", "L=1in:1000000in:1/1000in",
+        memory_mb=512,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("goldbug: sweep would produce 999999001 rows")
+
+
 def test_sweep_rejects_three_axes(capsys):
     code, _, err = run(
         capsys,
@@ -409,6 +448,29 @@ def test_config_malformed_line(capsys, tmp_path):
     assert "expected 'key = value'" in err
 
 
+def test_config_bad_convention_is_a_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "gb.cfg"
+    cfg.write_text("rA = 2ft\nrB = 2ft\nconvention = bogus\n")
+    code, out, err = run(capsys, "threshold", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "goldbug: --convention: unknown value 'bogus' "
+        "(expected from-drop-point or from-trunk)"
+    ]
+
+
+def test_config_not_utf8_is_a_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "gb.cfg"
+    cfg.write_bytes(b"r = 2in\n\xff\xfeL = 3ft\n")
+    code, out, err = run(capsys, "report", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"goldbug: cannot read config file {cfg}: ")
+
+
 def test_config_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "report", "--config", str(tmp_path / "absent.cfg"))
     assert code == 2
@@ -437,3 +499,24 @@ def test_help_exits_cleanly(capsys):
 def test_bad_convention_value(capsys):
     code, _, err = run(capsys, "report", *STORY_ARGS, "--convention", "sideways")
     assert code == 2
+
+
+def test_commands_without_the_oracle_leave_numpy_unloaded(tmp_path):
+    code = (
+        "import sys\n"
+        "from goldbug.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "loaded = 'numpy' in sys.modules\n"
+        "import goldbug\n"
+        "assert goldbug.lens_area_mc.__module__ == 'goldbug.oracle'\n"
+        "print(loaded, 'numpy' in sys.modules)\n"
+    )
+    for argv in (
+        ["report", *STORY_ARGS],
+        ["threshold", "--rA", "2ft", "--rB", "2ft", "--r", "2in"],
+        ["sweep", *STORY_ARGS, "--axis", "L=2ft:4ft:1in", "--json"],
+        ["render", *STORY_ARGS, "--out", str(tmp_path / "plan.svg")],
+    ):
+        proc = _run_child(code, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[-2:] == ["False", "True"], argv
