@@ -20,23 +20,18 @@ from typing import Any
 from .scenario import (
     DEFAULT_EXTENSION,
     DEFAULT_SOCKET_SEPARATION,
+    PARAMS,
     Convention,
     Scenario,
     center_distance,
     scenario_violation,
 )
-from .units import DomainError, Length, format_feet_inches
+from .units import DomainError, Length, format_exact_feet, format_feet_inches
 
 SWEEP_ROW_LIMIT = 10**6
 
-# Sweep/CLI parameter names -> Scenario fields.
-SWEEP_PARAMS = {
-    "r": "trunk_radius",
-    "L": "socket_offset",
-    "rA": "hole_radius_a",
-    "rB": "hole_radius_b",
-    "E": "extension",
-}
+# The parameters a sweep axis can vary: every length but the separation d.
+SWEEP_PARAMS = {key: field for key, field in PARAMS.items() if key != "d"}
 
 
 @dataclass(frozen=True)
@@ -223,15 +218,6 @@ def _check_threshold_inputs(
 # Parameter sweeps
 # ---------------------------------------------------------------------------
 
-# The scenario lengths, in the order the sweep kernel holds them as ints.
-_KERNEL_FIELDS = (
-    "trunk_radius",
-    "socket_offset",
-    "socket_separation",
-    "extension",
-    "hole_radius_a",
-    "hole_radius_b",
-)
 # Longest inner sweep axis whose labels are kept for reuse (a few MB).
 _KEPT_LABELS = 10_000
 
@@ -295,7 +281,7 @@ class SweepGrid:
         total = math.prod(axis.count() for axis in axes)
         if total > SWEEP_ROW_LIMIT:
             raise DomainError(f"sweep would produce {total} rows (limit {SWEEP_ROW_LIMIT})")
-        lengths = [getattr(base, field) for field in _KERNEL_FIELDS]
+        lengths = [getattr(base, field) for field in PARAMS.values()]
         self.base = base
         self.axes = tuple(axes)
         self.scale = math.lcm(
@@ -320,13 +306,13 @@ class SweepGrid:
         bounded whatever the grid."""
         fields = self._fields.copy()
         outer = self.axes[0]
-        s0 = _KERNEL_FIELDS.index(SWEEP_PARAMS[outer.param])
+        s0 = list(PARAMS).index(outer.param)
         if len(self.axes) == 1:
             for fields[s0], l0 in self._labelled(outer, label):
                 yield (l0,), tuple(fields)
             return
         inner = self.axes[1]
-        s1 = _KERNEL_FIELDS.index(SWEEP_PARAMS[inner.param])
+        s1 = list(PARAMS).index(inner.param)
         kept = list(self._labelled(inner, label)) if inner.count() <= _KEPT_LABELS else None
         for fields[s0], l0 in self._labelled(outer, label):
             for fields[s1], l1 in kept or self._labelled(inner, label):
@@ -446,12 +432,6 @@ def verify_claims(inject_failure: str | None = None) -> list[ClaimResult]:
     return results
 
 
-def _feet_str(value: Fraction) -> str:
-    if value.denominator == 1:
-        return f"{value.numerator} ft"
-    return f"{value.numerator}/{value.denominator} ft"
-
-
 def _claim_c1() -> ClaimResult:
     expected = Fraction(250, 91)
     got = nonoverlap_threshold(_TWO_FEET, _TWO_FEET)
@@ -459,8 +439,8 @@ def _claim_c1() -> ClaimResult:
     return ClaimResult(
         "C1",
         "two 2 ft holes stay apart only while r+L < 250/91 ft",
-        _feet_str(expected),
-        _feet_str(got.bound_ft) if got.bound_ft is not None else got.kind.value,
+        format_exact_feet(expected),
+        format_exact_feet(got.bound_ft) if got.bound_ft is not None else got.kind.value,
         ok,
     )
 
@@ -486,14 +466,14 @@ def _claim_c3() -> ClaimResult:
         else got.kind.value
     )
     computed = (
-        f"{_feet_str(got.bound_ft)} -> {formatted}"
+        f"{format_exact_feet(got.bound_ft)} -> {formatted}"
         if got.bound_ft is not None
         else got.kind.value
     )
     return ClaimResult(
         "C3",
         "with a 2 in trunk the socket offset must stay below 1409/546 ft, i.e. 2'7\"",
-        f"{_feet_str(expected)} -> 2'7\"",
+        f"{format_exact_feet(expected)} -> 2'7\"",
         computed,
         exact_ok and formatted == "2'7\"",
     )
@@ -553,7 +533,7 @@ def _claim_c6() -> ClaimResult:
         "C6",
         "growing the second hole past 2 ft only tightens the r+L bound",
         "strictly decreasing bounds for rB in {2, 2.25, 2.5, 3} ft",
-        " > ".join(_feet_str(b) for b in bounds if b is not None),
+        " > ".join(format_exact_feet(b) for b in bounds if b is not None),
         ok,
     )
 
@@ -571,7 +551,7 @@ def _claim_c7() -> ClaimResult:
         and from_trunk.bound_ft < from_drop.bound_ft
     )
     computed = (
-        f"{_feet_str(from_trunk.bound_ft)} < {_feet_str(from_drop.bound_ft)}"
+        f"{format_exact_feet(from_trunk.bound_ft)} < {format_exact_feet(from_drop.bound_ft)}"
         if from_trunk.bound_ft is not None and from_drop.bound_ft is not None
         else f"{from_trunk.kind.value} vs {from_drop.kind.value}"
     )

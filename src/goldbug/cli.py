@@ -13,30 +13,30 @@ import json
 import os
 import sys
 from collections.abc import Iterator
-from fractions import Fraction
 from pathlib import Path
 
 from . import analysis, jsonio
 from .render import CanvasSpec, render_svg
-from .scenario import Convention, Scenario
-from .units import DomainError, Length, ParseError, format_feet_inches, parse_length
+from .scenario import DEFAULT_EXTENSION, DEFAULT_SOCKET_SEPARATION, PARAMS, Convention, Scenario
+from .units import (
+    DomainError,
+    Length,
+    ParseError,
+    format_exact_feet,
+    format_feet_inches,
+    parse_length,
+)
 
 EXIT_OK = 0
 EXIT_CLAIMS_FAILED = 1
 EXIT_USAGE = 2
 
 CONFIG_ENV_VAR = "GOLDBUG_CONFIG"
-SCENARIO_KEYS = ("r", "L", "d", "E", "rA", "rB", "convention")
-CONFIG_KEYS = SCENARIO_KEYS + ("format",)
+CONFIG_KEYS = (*PARAMS, "convention", "format")
 
-SCENARIO_FIELDS = {
-    "r": "trunk_radius",
-    "L": "socket_offset",
-    "d": "socket_separation",
-    "E": "extension",
-    "rA": "hole_radius_a",
-    "rB": "hole_radius_b",
-}
+# Largest accepted length magnitude, in inches.  Every float derived from
+# lengths this size stays finite: AB <= 2(r+L+E).
+MAX_LENGTH_INCHES = 10**300
 
 
 class CliError(Exception):
@@ -206,17 +206,33 @@ def _effective(args: argparse.Namespace, config: dict[str, str], key: str) -> st
 
 def _parse_length_flag(key: str, raw: str) -> Length:
     try:
-        return parse_length(raw)
+        length = parse_length(raw)
     except ParseError as exc:
         raise CliError(f"--{key}: {exc}") from exc
+    if abs(length.inches) > MAX_LENGTH_INCHES:
+        raise CliError(f"--{key}: length out of range (magnitude at most 10^300 in)")
+    return length
 
 
-def _reject_depth(args: argparse.Namespace) -> None:
+def _lengths(
+    args: argparse.Namespace, config: dict[str, str], required: tuple[str, ...]
+) -> dict[str, Length]:
+    """Every scenario length given by flag or config file, parsed, by short
+    name; the keys in ``required`` must be among them."""
     if getattr(args, "depth", None) is not None:
         raise CliError(
             "--depth: hole depth is not modeled; this tool analyzes plan-view "
             "overlap only (see README, scope)"
         )
+    lengths: dict[str, Length] = {}
+    for key in PARAMS:
+        raw = _effective(args, config, key)
+        if raw is not None:
+            lengths[key] = _parse_length_flag(key, raw)
+    for key in required:
+        if key not in lengths:
+            raise CliError(f"--{key} is required (flag or config file)")
+    return lengths
 
 
 def _convention(args: argparse.Namespace, config: dict[str, str]) -> Convention | None:
@@ -234,15 +250,8 @@ def _convention(args: argparse.Namespace, config: dict[str, str]) -> Convention 
 
 
 def _build_scenario(args: argparse.Namespace, config: dict[str, str]) -> Scenario:
-    _reject_depth(args)
-    fields: dict[str, object] = {}
-    for key in ("r", "L", "d", "E", "rA", "rB"):
-        raw = _effective(args, config, key)
-        if raw is not None:
-            fields[SCENARIO_FIELDS[key]] = _parse_length_flag(key, raw)
-    for required in ("r", "L"):
-        if SCENARIO_FIELDS[required] not in fields:
-            raise CliError(f"--{required} is required (flag or config file)")
+    lengths = _lengths(args, config, required=("r", "L"))
+    fields: dict[str, object] = {PARAMS[key]: x for key, x in lengths.items()}
     convention = _convention(args, config)
     if convention is not None:
         fields["convention"] = convention
@@ -261,12 +270,6 @@ def _output_format(args: argparse.Namespace, config: dict[str, str]) -> str:
     return config.get("format", "text")
 
 
-def _feet(value: Fraction) -> str:
-    if value.denominator == 1:
-        return f"{value.numerator} ft"
-    return f"{value.numerator}/{value.denominator} ft"
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -278,13 +281,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if _output_format(args, config) == "json":
         print(json.dumps(jsonio.report_to_json(report), indent=2))
         return EXIT_OK
-    print(f"AB         = {_feet(report.ab_ft)}  ({float(report.ab_ft):.6f} ft)")
-    print(
-        f"radii sum  = {_feet(report.radii_sum_ft)}  "
-        f"({float(report.radii_sum_ft):.6f} ft)"
-    )
+    ab, radii, margin = report.ab_ft, report.radii_sum_ft, report.margin_ft
+    print(f"AB         = {format_exact_feet(ab)}  ({float(ab):.6f} ft)")
+    print(f"radii sum  = {format_exact_feet(radii)}  ({float(radii):.6f} ft)")
     print(f"overlaps   = {'yes' if report.overlaps else 'no'}")
-    print(f"margin     = {_feet(report.margin_ft)}  ({float(report.margin_ft):.6f} ft)")
+    print(f"margin     = {format_exact_feet(margin)}  ({float(margin):.6f} ft)")
     print(f"lens area  = {report.lens_area_sqft:.6f} sq ft")
     return EXIT_OK
 
@@ -297,42 +298,31 @@ def _threshold_line(label: str, t: analysis.Threshold) -> str:
     assert t.bound_ft is not None
     display = format_feet_inches(Length.from_feet(t.bound_ft))
     return (
-        f"{label} < {_feet(t.bound_ft)} "
+        f"{label} < {format_exact_feet(t.bound_ft)} "
         f"(≈ {float(t.bound_ft):.4f} ft, {display})"
     )
 
 
 def _cmd_threshold(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    _reject_depth(args)
-    values: dict[str, Length] = {}
-    for key in ("rA", "rB"):
-        raw = _effective(args, config, key)
-        if raw is None:
-            raise CliError(f"--{key} is required (flag or config file)")
-        values[key] = _parse_length_flag(key, raw)
-    for key, default in (("d", "2.5in"), ("E", "50ft")):
-        values[key] = _parse_length_flag(key, _effective(args, config, key) or default)
-
+    lengths = _lengths(args, config, required=("rA", "rB"))
     convention = _convention(args, config) or Convention.FROM_DROP_POINT
-    trunk_raw = _effective(args, config, "r")
-    trunk = _parse_length_flag("r", trunk_raw) if trunk_raw is not None else None
-
+    trunk = lengths.get("r")
+    holes = (
+        lengths["rA"],
+        lengths["rB"],
+        lengths.get("d", DEFAULT_SOCKET_SEPARATION),
+        lengths.get("E", DEFAULT_EXTENSION),
+    )
     try:
         if convention is Convention.FROM_TRUNK:
             if trunk is None:
                 raise CliError("--r is required with --convention from-trunk")
-            bound = analysis.nonoverlap_threshold_from_trunk(
-                trunk, values["rA"], values["rB"], values["d"], values["E"]
-            )
+            bound = analysis.nonoverlap_threshold_from_trunk(trunk, *holes)
         else:
-            bound = analysis.nonoverlap_threshold(
-                values["rA"], values["rB"], values["d"], values["E"]
-            )
+            bound = analysis.nonoverlap_threshold(*holes)
         l_bound = (
-            analysis.max_l_for_nonoverlap(
-                trunk, values["rA"], values["rB"], values["d"], values["E"], convention
-            )
+            analysis.max_l_for_nonoverlap(trunk, *holes, convention)
             if trunk is not None
             else None
         )
@@ -455,11 +445,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except CliError as exc:
-        print(f"goldbug: {exc}", file=sys.stderr)
-        return exc.exit_code
+        code, message = exc.exit_code, str(exc)
     except (ParseError, DomainError) as exc:
-        print(f"goldbug: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, message = EXIT_USAGE, str(exc)
+    except OverflowError as exc:
+        code, message = EXIT_USAGE, f"result out of float range: {exc}"
+    # One stderr line per error, whatever line breaks the input carried.
+    print(f"goldbug: {' '.join(message.splitlines())}", file=sys.stderr)
+    return code
 
 
 def entry() -> None:

@@ -26,7 +26,7 @@ from .analysis import (
     Threshold,
     ThresholdKind,
 )
-from .scenario import Convention, Scenario
+from .scenario import PARAMS, Convention, Scenario
 from .units import Length, format_feet_inches
 
 
@@ -54,25 +54,16 @@ def feet_from_json(obj: dict[str, Any]) -> Fraction:
 
 
 def scenario_to_json(s: Scenario) -> dict[str, Any]:
-    return {
-        "r": length_to_json(s.trunk_radius),
-        "L": length_to_json(s.socket_offset),
-        "d": length_to_json(s.socket_separation),
-        "E": length_to_json(s.extension),
-        "rA": length_to_json(s.hole_radius_a),
-        "rB": length_to_json(s.hole_radius_b),
-        "convention": s.convention.value,
+    out: dict[str, Any] = {
+        key: length_to_json(getattr(s, field)) for key, field in PARAMS.items()
     }
+    out["convention"] = s.convention.value
+    return out
 
 
 def scenario_from_json(obj: dict[str, Any]) -> Scenario:
     return Scenario(
-        trunk_radius=length_from_json(obj["r"]),
-        socket_offset=length_from_json(obj["L"]),
-        socket_separation=length_from_json(obj["d"]),
-        extension=length_from_json(obj["E"]),
-        hole_radius_a=length_from_json(obj["rA"]),
-        hole_radius_b=length_from_json(obj["rB"]),
+        **{field: length_from_json(obj[key]) for key, field in PARAMS.items()},
         convention=Convention(obj["convention"]),
     )
 

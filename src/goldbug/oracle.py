@@ -134,7 +134,7 @@ def random_scenarios(count: int, seed: int) -> list[Scenario]:
             trunk_radius=_random_length(rng, 0, 96),
             socket_offset=_random_length(rng, 1, 120),
             socket_separation=_random_length(rng, 1, 48),
-            extension=Length.from_inches(Fraction(rng.randint(0, 1200))),
+            extension=Length(Fraction(rng.randint(0, 1200))),
             hole_radius_a=_random_length(rng, 1, 72),
             hole_radius_b=_random_length(rng, 1, 72),
             convention=conventions[rng.randint(0, 1)],
@@ -147,4 +147,4 @@ def random_scenarios(count: int, seed: int) -> list[Scenario]:
 
 
 def _random_length(rng: random.Random, lo: int, hi: int) -> Length:
-    return Length.from_inches(Fraction(rng.randint(lo, hi), rng.randint(1, 4)))
+    return Length(Fraction(rng.randint(lo, hi), rng.randint(1, 4)))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .units import DomainError, Length, parse_length
+from .units import INCHES_PER_FOOT, DomainError, Length, parse_length
 
 
 class Convention(enum.Enum):
@@ -38,6 +38,17 @@ class Convention(enum.Enum):
 DEFAULT_SOCKET_SEPARATION = parse_length("2.5in")
 DEFAULT_EXTENSION = parse_length("50ft")
 DEFAULT_HOLE_RADIUS = parse_length("2ft")
+
+# The six lengths by short name (CLI flag, config key, JSON key) -> Scenario
+# field, in the order scenario_violation takes them.
+PARAMS = {
+    "r": "trunk_radius",
+    "L": "socket_offset",
+    "d": "socket_separation",
+    "E": "extension",
+    "rA": "hole_radius_a",
+    "rB": "hole_radius_b",
+}
 
 
 def scenario_violation(r, L, d, E, rA, rB, from_trunk: bool) -> str | None:
@@ -83,13 +94,12 @@ class Scenario:
     convention: Convention = Convention.FROM_DROP_POINT
 
     def __post_init__(self) -> None:
+        # Checked as ints counting 1/scale inch: same verdicts, no Fraction
+        # comparisons.
+        lengths = [getattr(self, field).inches for field in PARAMS.values()]
+        scale = math.lcm(*(x.denominator for x in lengths))
         reason = scenario_violation(
-            self.trunk_radius.inches,
-            self.socket_offset.inches,
-            self.socket_separation.inches,
-            self.extension.inches,
-            self.hole_radius_a.inches,
-            self.hole_radius_b.inches,
+            *(x.numerator * (scale // x.denominator) for x in lengths),
             self.convention is Convention.FROM_TRUNK,
         )
         if reason is not None:
@@ -149,8 +159,9 @@ def center_distance(s: Scenario) -> Fraction:
     AB = 2*D*sin(theta) collapses to d*D/(r+L) with no trigonometry, so the
     result is an exact rational and overlap verdicts need no tolerance.
     """
-    ray = dig_center_radius(s).feet
-    return s.socket_separation.feet * ray / s.drop_radius.feet
+    # Worked in inches, one conversion to feet at the end.
+    ray = dig_center_radius(s).inches
+    return s.socket_separation.inches * ray / (INCHES_PER_FOOT * s.drop_radius.inches)
 
 
 def layout(s: Scenario) -> Layout:
@@ -160,11 +171,17 @@ def layout(s: Scenario) -> Layout:
     scaling them from the origin by D/(r+L).  Kept deliberately independent
     of :func:`center_distance` so the two can cross-check each other.
     """
-    sin_t = half_angle_sin(s)
+    # Each exact length is formed once, in inches; every float below is the
+    # correctly rounded value of an exact ratio, whatever route formed it.
+    drop = s.drop_radius.inches
+    if drop == 0:
+        raise DomainError("r+L must be > 0 to define the half-angle")
+    half_sep_in = s.socket_separation.inches / 2
+    sin_t = half_sep_in / drop
     cos_t = math.sqrt(float(1 - sin_t * sin_t))
-    drop_x = float(s.drop_radius.feet) * cos_t
-    half_sep = float(s.socket_separation.feet / 2)
-    scale = float(dig_center_radius(s).feet / s.drop_radius.feet)
+    drop_x = float(drop / INCHES_PER_FOOT) * cos_t
+    half_sep = float(half_sep_in / INCHES_PER_FOOT)
+    scale = float(dig_center_radius(s).inches / drop)
 
     drop_a = Point(drop_x, half_sep)
     drop_b = Point(drop_x, -half_sep)

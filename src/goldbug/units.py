@@ -188,3 +188,10 @@ def format_exact_inches(x: Length) -> str:
     if x.denominator == 1:
         return f"{x.numerator}in"
     return f"{x.numerator}/{x.denominator}in"
+
+
+def format_exact_feet(value: Fraction) -> str:
+    """Exact fraction of feet, e.g. ``250/91 ft`` or ``4 ft``."""
+    if value.denominator == 1:
+        return f"{value.numerator} ft"
+    return f"{value.numerator}/{value.denominator} ft"

@@ -184,6 +184,23 @@ def test_threshold_requires_radii(capsys):
     assert "--rB is required" in err
 
 
+def test_threshold_rejects_a_bad_l_flag(capsys):
+    # L plays no part in the bound, but every length given is checked.
+    code, out, err = run(capsys, "threshold", "--rA", "2ft", "--rB", "2ft", "--L", "bogus")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ['goldbug: --L: unknown unit "bogus" in "bogus"']
+
+
+def test_threshold_rejects_a_bad_l_in_config(capsys, tmp_path):
+    cfg = tmp_path / "gb.cfg"
+    cfg.write_text("rA = 2ft\nrB = 2ft\nL = bogus\n")
+    code, out, err = run(capsys, "threshold", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ['goldbug: --L: unknown unit "bogus" in "bogus"']
+
+
 # ---------------------------------------------------------------------------
 # verify-paper
 # ---------------------------------------------------------------------------
@@ -499,6 +516,65 @@ def test_help_exits_cleanly(capsys):
 def test_bad_convention_value(capsys):
     code, _, err = run(capsys, "report", *STORY_ARGS, "--convention", "sideways")
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# out-of-range inputs
+# ---------------------------------------------------------------------------
+
+# 10^400 ft: past the 10^300 in limit, and past float range in feet.
+HUGE_FT = "1" + "0" * 400 + "ft"
+
+
+def _one_usage_line(err):
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith("goldbug: ")
+    return lines[0]
+
+
+def test_report_rejects_an_out_of_range_length(capsys):
+    code, out, err = run(capsys, "report", *STORY_ARGS, "--E", HUGE_FT)
+    assert code == 2
+    assert out == ""
+    assert _one_usage_line(err).startswith("goldbug: --E: length out of range")
+
+
+def test_sweep_rejects_an_out_of_range_length_before_any_output(capsys):
+    code, out, err = run(
+        capsys, "sweep", *STORY_ARGS, "--E", HUGE_FT, "--axis", "L=2ft:3ft:1in"
+    )
+    assert code == 2
+    assert out == ""
+    assert _one_usage_line(err).startswith("goldbug: --E: length out of range")
+
+
+def test_render_scale_past_float_range_is_a_usage_error(capsys, tmp_path):
+    out_path = tmp_path / "x.svg"
+    code, out, err = run(
+        capsys, "render", *STORY_ARGS, "--out", str(out_path), "--feet-per-px", "1e-320"
+    )
+    assert code == 2
+    assert out == ""
+    assert _one_usage_line(err).startswith("goldbug: result out of float range")
+    assert not out_path.exists()
+
+
+def test_threshold_bound_past_float_range_is_a_usage_error(capsys):
+    # rA + rB exceeds d = 5/2 in by 10^-400 in, so d*E/(S-d) ~ 1.5e403 in.
+    tiny = 10**400
+    radius_a = f"{5 * tiny + 4}/{4 * tiny}in"
+    for fmt in ([], ["--json"]):
+        code, out, err = run(capsys, "threshold", "--rA", radius_a, "--rB", "5/4in", *fmt)
+        assert code == 2
+        assert out == ""
+        assert _one_usage_line(err).startswith("goldbug: result out of float range")
+
+
+def test_an_error_message_is_one_line_whatever_the_input(capsys):
+    code, _, err = run(capsys, "report", "--r", "x\ny in", "--L", "3ft")
+    assert code == 2
+    assert _one_usage_line(err) == 'goldbug: --r: malformed quantity "x y" in "x y in"'
 
 
 def test_commands_without_the_oracle_leave_numpy_unloaded(tmp_path):
