@@ -17,7 +17,14 @@ from pathlib import Path
 
 from . import analysis, jsonio
 from .render import CanvasSpec, render_svg
-from .scenario import DEFAULT_EXTENSION, DEFAULT_SOCKET_SEPARATION, PARAMS, Convention, Scenario
+from .scenario import (
+    DEFAULT_EXTENSION,
+    DEFAULT_HOLE_RADIUS,
+    DEFAULT_SOCKET_SEPARATION,
+    PARAMS,
+    Convention,
+    Scenario,
+)
 from .units import (
     DomainError,
     Length,
@@ -80,10 +87,15 @@ def build_parser() -> argparse.ArgumentParser:
     scenario_flags = argparse.ArgumentParser(add_help=False)
     scenario_flags.add_argument("--r", help="trunk radius, e.g. 2in (length)")
     scenario_flags.add_argument("--L", help="socket offset from trunk surface (length)")
-    scenario_flags.add_argument("--d", help="drop-point separation (default 2.5in)")
-    scenario_flags.add_argument("--E", help="extension distance (default 50ft)")
-    scenario_flags.add_argument("--rA", help="first hole radius (default 2ft)")
-    scenario_flags.add_argument("--rB", help="second hole radius (default 2ft)")
+    for key, what, default in (
+        ("d", "drop-point separation", DEFAULT_SOCKET_SEPARATION),
+        ("E", "extension distance", DEFAULT_EXTENSION),
+        ("rA", "first hole radius", DEFAULT_HOLE_RADIUS),
+        ("rB", "second hole radius", DEFAULT_HOLE_RADIUS),
+    ):
+        scenario_flags.add_argument(
+            f"--{key}", help=f"{what} (default {format_exact_feet(default.feet)})"
+        )
     scenario_flags.add_argument(
         "--convention",
         choices=tuple(c.value for c in Convention),
@@ -135,7 +147,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--axis",
         action="append",
         metavar="PARAM=START:STOP:STEP",
-        help="sweep axis, e.g. L=2ft:3ft:1in (params: r, L, rA, rB, E; max 2)",
+        help=(
+            "sweep axis, e.g. L=2ft:3ft:1in "
+            f"(params: {', '.join(analysis.SWEEP_PARAMS)}; max 2)"
+        ),
     )
     p_sweep.set_defaults(handler=_cmd_sweep)
 

@@ -15,6 +15,12 @@ from fractions import Fraction
 
 INCHES_PER_FOOT = 12
 
+# Most digits in one number of a length string.  The longest exact value the
+# CLI prints, a 2-axis sweep's margin, has about 8 * MAX_DIGITS digits: inside
+# Python's 4,300-digit int/str conversion limit.  Lengths of 10^400 in (401
+# digits) still parse, so they meet the CLI's magnitude check.
+MAX_DIGITS = 450
+
 
 class ParseError(ValueError):
     """A length string does not match the accepted grammar."""
@@ -123,11 +129,13 @@ def parse_length(text: str) -> Length:
 
     m = _QTY_RE.fullmatch(body)
     if m:
+        _check_digits(m.group("q"))
         magnitude = Fraction(m.group("q"))
         return _from_magnitude(sign * magnitude, m.group("unit"))
 
     m = _FRACTION_RE.fullmatch(body)
     if m:
+        _check_digits(m.group("a"), m.group("b"))
         den = int(m.group("b"))
         if den == 0:
             raise ParseError(f'zero denominator in "{text.strip()}"')
@@ -136,10 +144,17 @@ def parse_length(text: str) -> Length:
 
     m = _FEET_INCHES_RE.fullmatch(body)
     if m:
+        _check_digits(m.group("f"), m.group("i"))
         total = Fraction(m.group("f")) * INCHES_PER_FOOT + Fraction(m.group("i"))
         return Length(sign * total)
 
     raise ParseError(_describe_failure(text, body))
+
+
+def _check_digits(*numbers: str) -> None:
+    for number in numbers:
+        if len(number) - number.count(".") > MAX_DIGITS:
+            raise ParseError(f"number with more than {MAX_DIGITS} digits")
 
 
 def _from_magnitude(value: Fraction, unit: str) -> Length:

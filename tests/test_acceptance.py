@@ -31,6 +31,7 @@ from goldbug.scenario import Convention, Scenario, center_distance
 from goldbug.units import Length, format_feet_inches, parse_length
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "plan_r2in_L3ft.svg"
+SRC = Path(__file__).resolve().parent.parent / "src"
 TWO_FT = parse_length("2ft")
 TWO_IN = parse_length("2in")
 
@@ -146,7 +147,7 @@ def _timed(fn):
 
 
 def _run_cli(args, hash_seed):
-    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-m", "goldbug.cli", *args],
         capture_output=True,

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -11,8 +12,13 @@ import pytest
 from goldbug import analysis, jsonio
 from goldbug.cli import CONFIG_ENV_VAR, main
 from goldbug.render import render_svg
-from goldbug.scenario import Scenario
-from goldbug.units import parse_length
+from goldbug.scenario import (
+    DEFAULT_EXTENSION,
+    DEFAULT_HOLE_RADIUS,
+    DEFAULT_SOCKET_SEPARATION,
+    Scenario,
+)
+from goldbug.units import MAX_DIGITS, format_exact_feet, parse_length
 
 STORY_ARGS = ["--r", "2in", "--L", "3ft"]
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -513,6 +519,19 @@ def test_help_exits_cleanly(capsys):
     assert "report" in out and "threshold" in out and "render" in out
 
 
+def test_help_defaults_come_from_the_scenario_module(capsys):
+    assert main(["sweep", "--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    for what, default in (
+        ("drop-point separation", DEFAULT_SOCKET_SEPARATION),
+        ("extension distance", DEFAULT_EXTENSION),
+        ("first hole radius", DEFAULT_HOLE_RADIUS),
+        ("second hole radius", DEFAULT_HOLE_RADIUS),
+    ):
+        assert f"{what} (default {format_exact_feet(default.feet)})" in out
+    assert "(params: r, L, E, rA, rB; max 2)" in out
+
+
 def test_bad_convention_value(capsys):
     code, _, err = run(capsys, "report", *STORY_ARGS, "--convention", "sideways")
     assert code == 2
@@ -596,3 +615,57 @@ def test_commands_without_the_oracle_leave_numpy_unloaded(tmp_path):
         proc = _run_child(code, *argv)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split()[-2:] == ["False", "True"], argv
+
+
+def test_a_length_with_too_many_digits_is_a_usage_error(capsys, tmp_path):
+    # Past Python's 4,300-digit int/str limit, which used to raise inside
+    # parse_length.
+    r = "1/" + "7" * 5000 + "in"
+    code, out, err = run(capsys, "report", "--r", r, "--L", "3ft")
+    assert code == 2
+    assert out == ""
+    assert _one_usage_line(err) == f"goldbug: --r: number with more than {MAX_DIGITS} digits"
+    config = tmp_path / "site.conf"
+    config.write_text(f"r = {r}\nL = 3ft\n")
+    code, out, err = run(capsys, "report", "--config", str(config))
+    assert code == 2
+    assert out == ""
+    assert _one_usage_line(err) == f"goldbug: --r: number with more than {MAX_DIGITS} digits"
+
+
+def _digits_long(rng, whole):
+    """A length a little above ``whole`` whose numerator and denominator
+    both have MAX_DIGITS digits."""
+    den = rng.randrange(10 ** (MAX_DIGITS - 1), 10**MAX_DIGITS // (whole + 1))
+    return f"{whole * den + rng.randrange(den)}/{den}"
+
+
+def test_lengths_at_the_digit_cap_print_in_every_command(capsys, tmp_path):
+    # Every length, axis start and step has a different MAX_DIGITS-digit
+    # denominator, so printed exact values are as long as they get (about
+    # 8 * MAX_DIGITS digits in the sweep's margins).
+    rng = random.Random(450)
+    flags = []
+    for key, whole, unit in (
+        ("r", 2, "in"),
+        ("L", 3, "ft"),
+        ("d", 2, "in"),
+        ("E", 8, "ft"),
+        ("rA", 2, "ft"),
+        ("rB", 2, "ft"),
+    ):
+        flags += [f"--{key}", _digits_long(rng, whole) + unit]
+    axes = [
+        "--axis", f"L={_digits_long(rng, 2)}ft:{_digits_long(rng, 4)}ft:{_digits_long(rng, 1)}ft",
+        "--axis", f"E={_digits_long(rng, 6)}ft:{_digits_long(rng, 8)}ft:{_digits_long(rng, 1)}ft",
+    ]
+    svg = tmp_path / "plan.svg"
+    for argv in (
+        ["report", *flags, "--json"],
+        ["threshold", *flags, "--json"],
+        ["sweep", *flags, *axes, "--json"],
+        ["render", *flags, "--out", str(svg)],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (argv[0], err)
+        assert out or svg.exists()

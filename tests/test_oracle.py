@@ -1,11 +1,16 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from goldbug import oracle
 from goldbug.analysis import lens_area, overlap_report
 from goldbug.oracle import (
     MC_CHUNK,
+    McEstimate,
     center_distance_oracle,
     lens_area_mc,
     overlap_oracle_grid,
@@ -99,6 +104,118 @@ def test_mc_coincident_circles_hit_everywhere():
 def test_mc_agrees_with_closed_form(d, ra, rb):
     est = lens_area_mc(d, ra, rb, samples=300_000, seed=42)
     assert abs(est.value - lens_area(d, ra, rb)) <= 4 * est.std_error
+
+
+def _reference_lens_area_mc(distance, radius_a, radius_b, samples, seed):
+    """The plain float64 loop that the screened kernel must reproduce."""
+    rng = np.random.default_rng(seed)
+    rb2 = radius_b * radius_b
+    hits = 0
+    done = 0
+    while done < samples:
+        n = min(MC_CHUNK, samples - done)
+        # Draw order (radii then angles) is fixed: it defines the stream.
+        radii = radius_a * np.sqrt(rng.random(n))
+        angles = (2.0 * math.pi) * rng.random(n)
+        dx = radii * np.cos(angles) - distance
+        dy = radii * np.sin(angles)
+        hits += int(np.count_nonzero(dx * dx + dy * dy <= rb2))
+        done += n
+
+    area_a = math.pi * radius_a * radius_a
+    rate = hits / samples
+    return McEstimate(
+        value=rate * area_a,
+        std_error=math.sqrt(rate * (1.0 - rate) / samples) * area_a,
+        samples=samples,
+        seed=seed,
+    )
+
+
+def _assert_same_estimate(distance, radius_a, radius_b, samples, seed):
+    # Compared by repr: bit-exact for floats, and a NaN (an area past float
+    # range times a zero rate) equals itself.
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = lens_area_mc(distance, radius_a, radius_b, samples, seed)
+        want = _reference_lens_area_mc(distance, radius_a, radius_b, samples, seed)
+    assert repr(got) == repr(want)
+
+
+@st.composite
+def mc_geometries(draw):
+    ra = draw(st.floats(0.05, 5.0))
+    rb = draw(st.floats(0.05, 5.0))
+    outer, inner = ra + rb, abs(ra - rb)
+    distance = draw(
+        st.sampled_from(
+            (
+                inner + (outer - inner) * draw(st.floats(0.0, 1.0)),
+                outer * (1 + 1e-9),
+                outer * (1 - 1e-9),
+                inner * (1 + 1e-9),
+                inner * (1 - 1e-9),
+                0.0,
+            )
+        )
+    )
+    sign = draw(st.sampled_from((1.0, -1.0)))
+    scale = draw(st.sampled_from((1.0, 1e-150, 1e150, 1e-300, 1e300)))
+    return sign * distance * scale, ra * scale, rb * scale
+
+
+@settings(deadline=None)
+@given(
+    geometry=mc_geometries(),
+    samples=st.integers(1_000, 20_000),
+    seed=st.integers(0, 2**63),
+)
+def test_mc_kernel_equals_float64_loop(geometry, samples, seed):
+    _assert_same_estimate(*geometry, samples, seed)
+
+
+@pytest.mark.parametrize(
+    "distance,radius_a,radius_b,samples,seed",
+    [
+        (2.8125, 2.0, 2.0, 10**6, 7),
+        (2.8125, 2.0, 2.0, MC_CHUNK + 1234, 7),
+        (1.0, 2.0, 1.5, 2 * MC_CHUNK + 1, 3),
+        (-0.5, 1.0, 9.0, 5_000, 11),
+    ],
+)
+def test_mc_kernel_equals_float64_loop_fixed(distance, radius_a, radius_b, samples, seed):
+    _assert_same_estimate(distance, radius_a, radius_b, samples, seed)
+
+
+class _CosRecorder:
+    """Stands in for numpy in `oracle`, noting the size of each float64 cos."""
+
+    def __init__(self):
+        self.float64_sizes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def cos(self, x, *args, **kwargs):
+        if x.dtype == np.float64:
+            self.float64_sizes.append(x.size)
+        return np.cos(x, *args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "distance,radius_a,radius_b,every_sample",
+    [
+        (2.8125, 2.0, 2.0, False),  # partial overlap: the band is a sliver
+        (0.0, 1.0, 8.0, True),  # rb >= 8s: no screen, all exact
+    ],
+)
+def test_mc_float64_recheck_runs(monkeypatch, distance, radius_a, radius_b, every_sample):
+    recorder = _CosRecorder()
+    monkeypatch.setattr(oracle, "np", recorder)
+    est = lens_area_mc(distance, radius_a, radius_b, 100_000, seed=7)
+    monkeypatch.undo()
+    (size,) = recorder.float64_sizes
+    assert size == 100_000 if every_sample else 0 < size < 1_000
+    assert repr(est) == repr(_reference_lens_area_mc(distance, radius_a, radius_b, 100_000, 7))
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from goldbug.units import (
+    MAX_DIGITS,
     DomainError,
     Length,
     ParseError,
@@ -94,6 +95,17 @@ def test_parse_error_messages_name_the_problem():
         parse_length("17")
     with pytest.raises(ParseError, match="feet-inches"):
         parse_length("2'")
+
+
+@pytest.mark.parametrize(
+    "template",
+    ["{n}in", "-{n}.5ft", "1/{n}in", "{n}/3ft", "{n}'0\"", "1'0.{n}\""],
+)
+def test_parse_caps_the_digits_of_each_number(template):
+    at_cap = "7" * (MAX_DIGITS - 1)
+    parse_length(template.format(n=at_cap))
+    with pytest.raises(ParseError, match=f"number with more than {MAX_DIGITS} digits"):
+        parse_length(template.format(n=at_cap + "77"))
 
 
 def test_constructors():
