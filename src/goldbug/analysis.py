@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any
@@ -26,7 +26,7 @@ from .scenario import (
     center_distance,
     scenario_violation,
 )
-from .units import DomainError, Length, format_exact_feet, format_feet_inches
+from .units import INCHES_PER_FOOT, DomainError, Length, format_exact_feet, format_feet_inches
 
 SWEEP_ROW_LIMIT = 10**6
 
@@ -62,29 +62,61 @@ class Threshold:
 
 def overlap_report(s: Scenario) -> OverlapReport:
     """Verdict for one scenario: centre distance versus radii sum."""
-    ab = center_distance(s)
-    radii_sum = s.radii_sum.feet
-    margin = ab - radii_sum
-    overlaps = margin < 0
-    if overlaps:
-        radius_a, radius_b = s.hole_radius_a.feet, s.hole_radius_b.feet
-        # Containment is decided on the rationals: at exact internal
-        # tangency the float test inside lens_area can miss it.  Distance 0
-        # takes lens_area's full-disc branch, input checks included.
-        distance = 0.0 if ab <= abs(radius_a - radius_b) else float(ab)
-        lens = lens_area(distance, float(radius_a), float(radius_b))
-    else:
-        # Rational gate: margin >= 0 means zero intersection exactly, no
-        # float rounding allowed to say otherwise.
-        lens = 0.0
+    ((_, reason, ab, radii, margin, den, overlaps, lens),) = _verdicts(
+        [((), s.counts)], s.convention is Convention.FROM_TRUNK, INCHES_PER_FOOT * s.scale
+    )
+    if reason is not None:
+        # Only lens_area can refuse a valid scenario.
+        raise DomainError(reason)
     return OverlapReport(
-        ab_ft=ab,
-        radii_sum_ft=radii_sum,
+        ab_ft=Fraction(ab, den),
+        radii_sum_ft=Fraction(radii, den),
         overlaps=overlaps,
-        margin_ft=margin,
+        margin_ft=Fraction(margin, den),
         lens_area_sqft=lens,
         scenario=s,
     )
+
+
+def _verdicts(points: Iterable[tuple], from_trunk: bool, foot: int) -> Iterator[tuple]:
+    """The integer overlap kernel behind overlap_report and sweep rows.
+
+    Each point is (labels, (r, L, d, E, rA, rB)), the six lengths being ints
+    counting 1/scale inch, and ``foot`` is 12*scale.  One tuple per point:
+
+        (labels, reason, ab, radii, margin, den, overlaps, lens)
+
+    A valid point has reason None, AB, the radii sum and the margin in feet
+    as ab/den, radii/den and margin/den, and the lens area in square feet.
+    An invalid point has the reason that Scenario would raise (or that
+    lens_area raised), and None in every later slot.
+    """
+    for labels, (r, L, d, E, rA, rB) in points:
+        reason = scenario_violation(r, L, d, E, rA, rB, from_trunk)
+        if reason is not None:
+            yield labels, reason, None, None, None, None, None, None
+            continue
+        drop = r + L
+        ab = d * (r + E if from_trunk else drop + E)
+        radii = (rA + rB) * drop
+        margin = ab - radii
+        den = drop * foot
+        overlaps = margin < 0
+        # margin >= 0 means zero intersection exactly: no float rounding is
+        # allowed to say otherwise.
+        lens = 0.0
+        if overlaps:
+            # Containment is decided on the ints: at exact internal tangency
+            # the float test inside lens_area can miss it.  Distance 0 takes
+            # lens_area's full-disc branch, input checks included.  Every
+            # float is an int true division, correctly rounded.
+            distance = 0.0 if ab <= abs(rA - rB) * drop else ab / den
+            try:
+                lens = lens_area(distance, rA / foot, rB / foot)
+            except DomainError as exc:
+                yield labels, str(exc), None, None, None, None, None, None
+                continue
+        yield labels, None, ab, radii, margin, den, overlaps, lens
 
 
 def lens_area(distance: float, radius_a: float, radius_b: float) -> float:
@@ -281,14 +313,12 @@ class SweepGrid:
         total = math.prod(axis.count() for axis in axes)
         if total > SWEEP_ROW_LIMIT:
             raise DomainError(f"sweep would produce {total} rows (limit {SWEEP_ROW_LIMIT})")
-        lengths = [getattr(base, field) for field in PARAMS.values()]
         self.base = base
         self.axes = tuple(axes)
         self.scale = math.lcm(
-            *(x.denominator for x in lengths),
-            *(x.denominator for axis in axes for x in (axis.start, axis.step)),
+            base.scale, *(x.denominator for axis in axes for x in (axis.start, axis.step))
         )
-        self._fields = [self._count(x) for x in lengths]
+        self._fields = [n * (self.scale // base.scale) for n in base.counts]
 
     def _count(self, x: Length) -> int:
         return x.numerator * (self.scale // x.denominator)
@@ -319,41 +349,11 @@ class SweepGrid:
                 yield (l0, l1), tuple(fields)
 
     def rows(self, label: Label) -> Iterator[tuple]:
-        """Evaluate the grid lazily, one tuple per point:
-
-            (labels, reason, ab, radii, margin, den, overlaps, lens)
-
+        """Evaluate the grid lazily, one _verdicts tuple per point, whose
         ``labels`` holds ``label(axis, value)`` for each axis value of the
-        point (see _points for how often label runs).  A valid point has
-        reason None, AB, the radii sum and the margin in feet as ab/den,
-        radii/den and margin/den, and the lens area in square feet.  An
-        invalid point has the reason that Scenario would raise, and None in
-        every later slot.
-        """
+        point (see _points for how often label runs)."""
         from_trunk = self.base.convention is Convention.FROM_TRUNK
-        feet = 12 * self.scale
-        for labels, (r, L, d, E, rA, rB) in self._points(label):
-            reason = scenario_violation(r, L, d, E, rA, rB, from_trunk)
-            if reason is not None:
-                yield labels, reason, None, None, None, None, None, None
-                continue
-            drop = r + L
-            ab = d * (r + E if from_trunk else drop + E)
-            radii = (rA + rB) * drop
-            margin = ab - radii
-            den = drop * feet
-            overlaps = margin < 0
-            lens = 0.0
-            if overlaps:
-                # The same floats overlap_report passes, and the same exact
-                # containment gate.
-                distance = 0.0 if ab <= abs(rA - rB) * drop else ab / den
-                try:
-                    lens = lens_area(distance, rA / feet, rB / feet)
-                except DomainError as exc:
-                    yield labels, str(exc), None, None, None, None, None, None
-                    continue
-            yield labels, None, ab, radii, margin, den, overlaps, lens
+        return _verdicts(self._points(label), from_trunk, INCHES_PER_FOOT * self.scale)
 
 
 def sweep(base: Scenario, axes: list[SweepAxis]) -> SweepTable:

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .scenario import Convention, Scenario, layout
-from .units import DomainError, Length
+from .units import INCHES_PER_FOOT, DomainError, Length
 
 MC_CHUNK = 1_000_000
 # lens_area_mc's float32 screen: its band half-width, in units of s^2, and the
@@ -63,6 +63,9 @@ def lens_area_mc(
         raise DomainError("radii must be > 0")
     if not all(math.isfinite(v) for v in (distance, radius_a, radius_b)):
         raise DomainError("inputs must be finite")
+    # lens_area's cap: beyond it pi * radius^2 can overflow.
+    if max(abs(distance), radius_a, radius_b) > 1e150:
+        raise DomainError("inputs too large: the area would overflow")
 
     rng = np.random.default_rng(seed)
     rb2 = radius_b * radius_b
@@ -149,8 +152,9 @@ def overlap_oracle_grid(s: Scenario, cells_per_foot: int) -> bool:
     mid_y = (lay.dig_a.y + lay.dig_b.y) / 2.0
     ax, ay = lay.dig_a.x - mid_x, lay.dig_a.y - mid_y
     bx, by = lay.dig_b.x - mid_x, lay.dig_b.y - mid_y
-    ra = float(s.hole_radius_a.feet)
-    rb = float(s.hole_radius_b.feet)
+    *_, rA, rB = s.counts
+    foot = INCHES_PER_FOOT * s.scale
+    ra, rb = rA / foot, rB / foot
 
     lo_x = max(ax - ra, bx - rb)
     hi_x = min(ax + ra, bx + rb)
@@ -164,7 +168,8 @@ def overlap_oracle_grid(s: Scenario, cells_per_foot: int) -> bool:
     ny = max(1, math.ceil((hi_y - lo_y) / step))
     xs = lo_x + (np.arange(nx) + 0.5) * step
     ys = lo_y + (np.arange(ny) + 0.5) * step
-    gx, gy = np.meshgrid(xs, ys, sparse=True)
+    # A sparse grid: a row of x and a column of y, broadcast together.
+    gx, gy = xs, ys[:, np.newaxis]
 
     in_a = (gx - ax) ** 2 + (gy - ay) ** 2 < ra * ra
     in_b = (gx - bx) ** 2 + (gy - by) ** 2 < rb * rb
@@ -181,19 +186,20 @@ def random_scenarios(count: int, seed: int) -> list[Scenario]:
     conventions = (Convention.FROM_DROP_POINT, Convention.FROM_TRUNK)
     out: list[Scenario] = []
     while len(out) < count:
-        candidate = dict(
-            trunk_radius=_random_length(rng, 0, 96),
-            socket_offset=_random_length(rng, 1, 120),
-            socket_separation=_random_length(rng, 1, 48),
-            extension=Length(Fraction(rng.randint(0, 1200))),
-            hole_radius_a=_random_length(rng, 1, 72),
-            hole_radius_b=_random_length(rng, 1, 72),
-            convention=conventions[rng.randint(0, 1)],
-        )
+        # Arguments are drawn left to right: that order defines the stream.
         try:
-            out.append(Scenario(**candidate))
+            s = Scenario(
+                trunk_radius=_random_length(rng, 0, 96),
+                socket_offset=_random_length(rng, 1, 120),
+                socket_separation=_random_length(rng, 1, 48),
+                extension=Length(Fraction(rng.randint(0, 1200))),
+                hole_radius_a=_random_length(rng, 1, 72),
+                hole_radius_b=_random_length(rng, 1, 72),
+                convention=conventions[rng.randint(0, 1)],
+            )
         except DomainError:
             continue
+        out.append(s)
     return out
 
 

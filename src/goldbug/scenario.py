@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -49,6 +50,7 @@ PARAMS = {
     "rA": "hole_radius_a",
     "rB": "hole_radius_b",
 }
+_PARAM_LENGTHS = operator.attrgetter(*PARAMS.values())
 
 
 def scenario_violation(r, L, d, E, rA, rB, from_trunk: bool) -> str | None:
@@ -83,7 +85,13 @@ def scenario_violation(r, L, d, E, rA, rB, from_trunk: bool) -> str | None:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One dig layout; immutable and validated on construction."""
+    """One dig layout; immutable and validated on construction.
+
+    ``counts`` holds the six lengths, in PARAMS order, as ints counting
+    1/``scale`` inch, ``scale`` being the least common denominator of their
+    inch values.  Both are derived, set once on construction, and take no
+    part in repr, equality or hashing.
+    """
 
     trunk_radius: Length
     socket_offset: Length
@@ -92,18 +100,18 @@ class Scenario:
     hole_radius_a: Length = DEFAULT_HOLE_RADIUS
     hole_radius_b: Length = DEFAULT_HOLE_RADIUS
     convention: Convention = Convention.FROM_DROP_POINT
+    scale: int = field(init=False, repr=False, compare=False)
+    counts: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # Checked as ints counting 1/scale inch: same verdicts, no Fraction
-        # comparisons.
-        lengths = [getattr(self, field).inches for field in PARAMS.values()]
-        scale = math.lcm(*(x.denominator for x in lengths))
-        reason = scenario_violation(
-            *(x.numerator * (scale // x.denominator) for x in lengths),
-            self.convention is Convention.FROM_TRUNK,
-        )
+        ratios = [x.inches.as_integer_ratio() for x in _PARAM_LENGTHS(self)]
+        scale = math.lcm(*[den for _, den in ratios])
+        counts = tuple([num * (scale // den) for num, den in ratios])
+        reason = scenario_violation(*counts, self.convention is Convention.FROM_TRUNK)
         if reason is not None:
             raise DomainError(reason)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "counts", counts)
 
     @property
     def drop_radius(self) -> Length:
@@ -140,10 +148,11 @@ class Layout:
 
 def half_angle_sin(s: Scenario) -> Fraction:
     """Exact sine of the half-angle between the two rays: (d/2)/(r+L)."""
-    drop = s.drop_radius.feet
+    r, L, d, *_ = s.counts
+    drop = r + L
     if drop == 0:
         raise DomainError("r+L must be > 0 to define the half-angle")
-    return (s.socket_separation.feet / 2) / drop
+    return Fraction(d, 2 * drop)
 
 
 def dig_center_radius(s: Scenario) -> Length:
@@ -159,9 +168,10 @@ def center_distance(s: Scenario) -> Fraction:
     AB = 2*D*sin(theta) collapses to d*D/(r+L) with no trigonometry, so the
     result is an exact rational and overlap verdicts need no tolerance.
     """
-    # Worked in inches, one conversion to feet at the end.
-    ray = dig_center_radius(s).inches
-    return s.socket_separation.inches * ray / (INCHES_PER_FOOT * s.drop_radius.inches)
+    r, L, d, E, _, _ = s.counts
+    drop = r + L
+    ray = (r if s.convention is Convention.FROM_TRUNK else drop) + E
+    return Fraction(d * ray, INCHES_PER_FOOT * drop * s.scale)
 
 
 def layout(s: Scenario) -> Layout:
@@ -171,17 +181,20 @@ def layout(s: Scenario) -> Layout:
     scaling them from the origin by D/(r+L).  Kept deliberately independent
     of :func:`center_distance` so the two can cross-check each other.
     """
-    # Each exact length is formed once, in inches; every float below is the
-    # correctly rounded value of an exact ratio, whatever route formed it.
-    drop = s.drop_radius.inches
+    # Every float below is an int true division, so it is the correctly
+    # rounded value of its exact ratio (the same float as float(Fraction)).
+    r, L, d, E, _, _ = s.counts
+    drop = r + L
     if drop == 0:
         raise DomainError("r+L must be > 0 to define the half-angle")
-    half_sep_in = s.socket_separation.inches / 2
-    sin_t = half_sep_in / drop
-    cos_t = math.sqrt(float(1 - sin_t * sin_t))
-    drop_x = float(drop / INCHES_PER_FOOT) * cos_t
-    half_sep = float(half_sep_in / INCHES_PER_FOOT)
-    scale = float(dig_center_radius(s).inches / drop)
+    ray = (r if s.convention is Convention.FROM_TRUNK else drop) + E
+    foot = INCHES_PER_FOOT * s.scale
+    drop2 = 4 * drop * drop
+    # cos(theta) = sqrt(1 - sin^2) with sin(theta) = (d/2)/(r+L).
+    cos_t = math.sqrt((drop2 - d * d) / drop2)
+    drop_x = drop / foot * cos_t
+    half_sep = d / (2 * foot)
+    stretch = ray / drop
 
     drop_a = Point(drop_x, half_sep)
     drop_b = Point(drop_x, -half_sep)
@@ -189,8 +202,8 @@ def layout(s: Scenario) -> Layout:
         tree_center=Point(0.0, 0.0),
         drop_a=drop_a,
         drop_b=drop_b,
-        dig_a=Point(drop_a.x * scale, drop_a.y * scale),
-        dig_b=Point(drop_b.x * scale, drop_b.y * scale),
-        sin_half_angle=sin_t,
-        half_angle_rad=math.asin(float(sin_t)),
+        dig_a=Point(drop_a.x * stretch, drop_a.y * stretch),
+        dig_b=Point(drop_b.x * stretch, drop_b.y * stretch),
+        sin_half_angle=Fraction(d, 2 * drop),
+        half_angle_rad=math.asin(d / (2 * drop)),
     )

@@ -669,3 +669,18 @@ def test_lengths_at_the_digit_cap_print_in_every_command(capsys, tmp_path):
         code, out, err = run(capsys, *argv)
         assert code == 0, (argv[0], err)
         assert out or svg.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["report", "--r", "2in", "--L", "3ft"], ["report", "--r", "2in"]],
+)
+def test_python_m_goldbug_is_the_cli(capsys, argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "goldbug", *argv],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=60,
+    )
+    code, out, err = run(capsys, *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())

@@ -133,11 +133,15 @@ def _reference_lens_area_mc(distance, radius_a, radius_b, samples, seed):
 
 
 def _assert_same_estimate(distance, radius_a, radius_b, samples, seed):
-    # Compared by repr: bit-exact for floats, and a NaN (an area past float
-    # range times a zero rate) equals itself.
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = lens_area_mc(distance, radius_a, radius_b, samples, seed)
-        want = _reference_lens_area_mc(distance, radius_a, radius_b, samples, seed)
+    # Past lens_area's 1e150 cap the area can overflow: refused, where the
+    # plain loop returned inf or NaN.
+    if max(abs(distance), radius_a, radius_b) > 1e150:
+        with pytest.raises(DomainError, match="too large"):
+            lens_area_mc(distance, radius_a, radius_b, samples, seed)
+        return
+    # Compared by repr: bit-exact for floats.
+    got = lens_area_mc(distance, radius_a, radius_b, samples, seed)
+    want = _reference_lens_area_mc(distance, radius_a, radius_b, samples, seed)
     assert repr(got) == repr(want)
 
 
@@ -224,6 +228,11 @@ def test_mc_float64_recheck_runs(monkeypatch, distance, radius_a, radius_b, ever
         dict(distance=1.0, radius_a=2.0, radius_b=2.0, samples=999, seed=0),
         dict(distance=1.0, radius_a=0.0, radius_b=2.0, samples=10**4, seed=0),
         dict(distance=math.inf, radius_a=2.0, radius_b=2.0, samples=10**4, seed=0),
+        # pi * radius_a^2 overflows: the estimate was inf with a NaN error.
+        dict(distance=0.0, radius_a=1e154, radius_b=1e154, samples=10**4, seed=0),
+        # radius_b^2 overflows: every sample hit two disjoint discs.
+        dict(distance=3e200, radius_a=1.0, radius_b=1e200, samples=1_000, seed=0),
+        dict(distance=-2e150, radius_a=1.0, radius_b=1.0, samples=10**4, seed=0),
     ],
 )
 def test_mc_rejects_bad_inputs(kwargs):

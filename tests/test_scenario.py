@@ -3,14 +3,17 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from goldbug.analysis import OverlapReport, lens_area, overlap_report
 from goldbug.scenario import (
     DEFAULT_EXTENSION,
     DEFAULT_HOLE_RADIUS,
     DEFAULT_SOCKET_SEPARATION,
+    PARAMS,
     Convention,
+    Layout,
     Point,
     Scenario,
     center_distance,
@@ -18,7 +21,7 @@ from goldbug.scenario import (
     half_angle_sin,
     layout,
 )
-from goldbug.units import DomainError, Length, parse_length
+from goldbug.units import INCHES_PER_FOOT, MAX_DIGITS, DomainError, Length, parse_length
 
 # The story layout: 2 in trunk radius, sockets 3 ft past the trunk surface.
 STORY = Scenario(trunk_radius=parse_length("2in"), socket_offset=parse_length("3ft"))
@@ -173,3 +176,169 @@ def test_from_trunk_needs_positive_ray():
 def test_scenario_is_immutable():
     with pytest.raises(dataclasses.FrozenInstanceError):
         STORY.socket_offset = parse_length("4ft")
+
+
+# ---------------------------------------------------------------------------
+# The integer path against the Fraction route it replaced
+# ---------------------------------------------------------------------------
+
+
+def _fraction_center_distance(s):
+    """center_distance as it was computed from Fractions (the reference)."""
+    # Worked in inches, one conversion to feet at the end.
+    ray = dig_center_radius(s).inches
+    return s.socket_separation.inches * ray / (INCHES_PER_FOOT * s.drop_radius.inches)
+
+
+def _fraction_layout(s):
+    """layout as it was computed from Fractions (the reference)."""
+    # Each exact length is formed once, in inches; every float below is the
+    # correctly rounded value of an exact ratio, whatever route formed it.
+    drop = s.drop_radius.inches
+    if drop == 0:
+        raise DomainError("r+L must be > 0 to define the half-angle")
+    half_sep_in = s.socket_separation.inches / 2
+    sin_t = half_sep_in / drop
+    cos_t = math.sqrt(float(1 - sin_t * sin_t))
+    drop_x = float(drop / INCHES_PER_FOOT) * cos_t
+    half_sep = float(half_sep_in / INCHES_PER_FOOT)
+    scale = float(dig_center_radius(s).inches / drop)
+
+    drop_a = Point(drop_x, half_sep)
+    drop_b = Point(drop_x, -half_sep)
+    return Layout(
+        tree_center=Point(0.0, 0.0),
+        drop_a=drop_a,
+        drop_b=drop_b,
+        dig_a=Point(drop_a.x * scale, drop_a.y * scale),
+        dig_b=Point(drop_b.x * scale, drop_b.y * scale),
+        sin_half_angle=sin_t,
+        half_angle_rad=math.asin(float(sin_t)),
+    )
+
+
+def _fraction_overlap_report(s):
+    """overlap_report as it was computed from Fractions (the reference)."""
+    ab = _fraction_center_distance(s)
+    radii_sum = s.radii_sum.feet
+    margin = ab - radii_sum
+    overlaps = margin < 0
+    if overlaps:
+        radius_a, radius_b = s.hole_radius_a.feet, s.hole_radius_b.feet
+        # Containment is decided on the rationals: at exact internal
+        # tangency the float test inside lens_area can miss it.  Distance 0
+        # takes lens_area's full-disc branch, input checks included.
+        distance = 0.0 if ab <= abs(radius_a - radius_b) else float(ab)
+        lens = lens_area(distance, float(radius_a), float(radius_b))
+    else:
+        # Rational gate: margin >= 0 means zero intersection exactly, no
+        # float rounding allowed to say otherwise.
+        lens = 0.0
+    return OverlapReport(
+        ab_ft=ab,
+        radii_sum_ft=radii_sum,
+        overlaps=overlaps,
+        margin_ft=margin,
+        lens_area_sqft=lens,
+        scenario=s,
+    )
+
+
+def _outcome(fn, s):
+    """What fn(s) gives, floats spelt bit for bit, or the error it raises."""
+    try:
+        got = fn(s)
+    except (DomainError, OverflowError) as exc:
+        return type(exc), str(exc)
+    if isinstance(got, Layout):
+        points = (got.tree_center, got.drop_a, got.drop_b, got.dig_a, got.dig_b)
+        return (
+            [v.hex() for p in points for v in p],
+            got.sin_half_angle,
+            got.half_angle_rad.hex(),
+        )
+    if isinstance(got, OverlapReport):
+        return (
+            got.ab_ft,
+            got.radii_sum_ft,
+            got.overlaps,
+            got.margin_ft,
+            got.lens_area_sqft.hex(),
+            got.scenario is s,
+        )
+    assert type(got) is Fraction
+    return got
+
+
+def _assert_int_path_matches_fractions(s):
+    for new, old in (
+        (center_distance, _fraction_center_distance),
+        (layout, _fraction_layout),
+        (overlap_report, _fraction_overlap_report),
+    ):
+        assert _outcome(new, s) == _outcome(old, s), new.__name__
+    assert [Fraction(n, s.scale) for n in s.counts] == [
+        getattr(s, field).inches for field in PARAMS.values()
+    ]
+
+
+@st.composite
+def wide_fractions(draw, min_value=1):
+    """A Fraction with numerator and denominator of up to MAX_DIGITS digits."""
+    num_digits, den_digits = (
+        draw(st.sampled_from((1, 3, 20, 150, MAX_DIGITS))) for _ in range(2)
+    )
+    return Fraction(
+        draw(st.integers(min_value, 10**num_digits - 1)),
+        draw(st.integers(1, 10**den_digits - 1)),
+    )
+
+
+@st.composite
+def edge_scenarios(draw):
+    r = Fraction(0) if draw(st.booleans()) else draw(wide_fractions())
+    L = draw(wide_fractions())
+    # d = 2(r+L) puts the drop points diametrically opposite.
+    d = 2 * (r + L) * (1 if draw(st.booleans()) else draw(wide_fractions()) / 10**MAX_DIGITS)
+    assume(0 < d <= 2 * (r + L))
+    E = draw(wide_fractions(min_value=0))
+    convention = draw(st.sampled_from(Convention))
+    assume(convention is Convention.FROM_DROP_POINT or r + E > 0)
+    lengths = dict(
+        trunk_radius=Length(r), socket_offset=Length(L), socket_separation=Length(d),
+        extension=Length(E), convention=convention,
+    )
+    rA = draw(wide_fractions())
+    ab = INCHES_PER_FOOT * _fraction_center_distance(Scenario(**lengths))
+    tangency = draw(st.sampled_from(("none", "external", "internal")))
+    if tangency == "external":
+        assume(rA < ab)
+        rB = ab - rA
+    elif tangency == "internal":
+        rB = rA + ab
+    else:
+        rB = draw(wide_fractions())
+    return Scenario(**lengths, hole_radius_a=Length(rA), hole_radius_b=Length(rB))
+
+
+@settings(deadline=None)
+@given(edge_scenarios())
+def test_int_path_matches_fractions_on_wide_lengths(s):
+    _assert_int_path_matches_fractions(s)
+
+
+def test_int_path_matches_fractions_on_seeded_scenarios():
+    from goldbug.oracle import random_scenarios
+
+    for seed in (1843, 7):
+        for s in random_scenarios(6_000, seed=seed):
+            _assert_int_path_matches_fractions(s)
+
+
+def test_derived_ints_stay_out_of_identity():
+    s = dataclasses.replace(STORY, extension=parse_length("40ft"))
+    assert (s.scale, s.counts) == (2, (4, 72, 5, 960, 48, 48))
+    assert repr(STORY) == repr(Scenario(STORY.trunk_radius, STORY.socket_offset))
+    assert "counts" not in repr(STORY) and "scale" not in repr(STORY)
+    same = Scenario(Length(Fraction(4, 2)), parse_length("36in"))
+    assert same == STORY and hash(same) == hash(STORY)
