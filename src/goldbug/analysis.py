@@ -110,12 +110,17 @@ def _verdicts(points: Iterable[tuple], from_trunk: bool, foot: int) -> Iterator[
             # the float test inside lens_area can miss it.  Distance 0 takes
             # lens_area's full-disc branch, input checks included.  Every
             # float is an int true division, correctly rounded.
-            distance = 0.0 if ab <= abs(rA - rB) * drop else ab / den
-            try:
-                lens = lens_area(distance, rA / foot, rB / foot)
-            except DomainError as exc:
-                yield labels, str(exc), None, None, None, None, None, None
-                continue
+            # A radius in feet that underflows to 0.0 leaves lens at 0.0: the
+            # true area, below pi times that radius squared, is smaller than
+            # the smallest float.
+            radius_a, radius_b = rA / foot, rB / foot
+            if radius_a and radius_b:
+                distance = 0.0 if ab <= abs(rA - rB) * drop else ab / den
+                try:
+                    lens = lens_area(distance, radius_a, radius_b)
+                except DomainError as exc:
+                    yield labels, str(exc), None, None, None, None, None, None
+                    continue
         yield labels, None, ab, radii, margin, den, overlaps, lens
 
 

@@ -104,6 +104,20 @@ def test_report_rejects_invalid_scenario(capsys):
     assert "invalid scenario" in err
 
 
+# A hole radius whose value in feet underflows a float: disc A lies inside B.
+TINY_RA = "1/1" + "0" * 330 + "in"
+
+
+def test_report_with_an_underflowing_radius_has_a_zero_lens(capsys):
+    code, out, err = run(
+        capsys, "report", *STORY_ARGS, "--rA", TINY_RA, "--rB", "4ft", "--json"
+    )
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["overlaps"] is True
+    assert payload["lens_area_sqft"] == 0.0
+
+
 def test_depth_is_rejected_with_a_pointer(capsys):
     code, _, err = run(capsys, "report", *STORY_ARGS, "--depth", "7ft")
     assert code == 2
@@ -293,6 +307,16 @@ def test_sweep_marks_invalid_rows(capsys):
     assert code == 0
     assert out.count("invalid:") == 2
     assert "separation" in out
+
+
+def test_sweep_row_with_an_underflowing_radius_is_valid(capsys):
+    code, out, _ = run(
+        capsys, "sweep", *STORY_ARGS, "--rA", TINY_RA, "--json", "--axis", "rB=4ft:4ft:1in"
+    )
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    assert row["report"]["overlaps"] is True
+    assert row["report"]["lens_area_sqft"] == 0.0
 
 
 def test_sweep_requires_axis(capsys):

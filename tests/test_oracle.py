@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -184,10 +185,40 @@ def test_mc_kernel_equals_float64_loop(geometry, samples, seed):
         (2.8125, 2.0, 2.0, MC_CHUNK + 1234, 7),
         (1.0, 2.0, 1.5, 2 * MC_CHUNK + 1, 3),
         (-0.5, 1.0, 9.0, 5_000, 11),
+        # Block and chunk boundaries, including a chunk that is not a
+        # whole number of blocks.
+        (1.0, 2.0, 1.5, oracle._BLOCK - 1, 5),
+        (1.0, 2.0, 1.5, oracle._BLOCK, 5),
+        (1.0, 2.0, 1.5, oracle._BLOCK + 1, 5),
+        (2.8125, 2.0, 2.0, MC_CHUNK - 1, 9),
+        (0.6, 0.5, 1.0, MC_CHUNK + oracle._BLOCK + 1, 13),
+        (2.8125, 2.0, 2.0, 2 * MC_CHUNK + 1, 17),
     ],
 )
 def test_mc_kernel_equals_float64_loop_fixed(distance, radius_a, radius_b, samples, seed):
     _assert_same_estimate(distance, radius_a, radius_b, samples, seed)
+
+
+def test_mc_estimate_does_not_depend_on_block_size(monkeypatch):
+    # The block size decides memory only, never the estimate.
+    args = (1.0, 2.0, 1.5, MC_CHUNK + 4_321, 23)
+    want = lens_area_mc(*args)
+    for block in (1_000, 4_096, 1 << 20):
+        monkeypatch.setattr(oracle, "_BLOCK", block)
+        assert lens_area_mc(*args) == want, block
+
+
+def test_mc_memory_is_bounded_by_the_block():
+    # numpy reports its buffers to tracemalloc.  Whole-chunk buffers for
+    # 2.3M samples peaked at about 28 MB; blocked ones stay near 2 MB.
+    lens_area_mc(1.3, 1.5, 1.2, 2_300_000, 11)
+    tracemalloc.start()
+    try:
+        lens_area_mc(1.3, 1.5, 1.2, 2_300_000, 11)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 class _CosRecorder:
@@ -217,8 +248,9 @@ def test_mc_float64_recheck_runs(monkeypatch, distance, radius_a, radius_b, ever
     monkeypatch.setattr(oracle, "np", recorder)
     est = lens_area_mc(distance, radius_a, radius_b, 100_000, seed=7)
     monkeypatch.undo()
-    (size,) = recorder.float64_sizes
-    assert size == 100_000 if every_sample else 0 < size < 1_000
+    # Blocks split the recheck into several calls: count the samples.
+    total = sum(recorder.float64_sizes)
+    assert total == 100_000 if every_sample else 0 < total < 1_000
     assert repr(est) == repr(_reference_lens_area_mc(distance, radius_a, radius_b, 100_000, 7))
 
 

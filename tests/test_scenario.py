@@ -229,7 +229,12 @@ def _fraction_overlap_report(s):
         # tangency the float test inside lens_area can miss it.  Distance 0
         # takes lens_area's full-disc branch, input checks included.
         distance = 0.0 if ab <= abs(radius_a - radius_b) else float(ab)
-        lens = lens_area(distance, float(radius_a), float(radius_b))
+        if float(radius_a) and float(radius_b):
+            lens = lens_area(distance, float(radius_a), float(radius_b))
+        else:
+            # A radius underflows to 0.0 ft: the true lens is below the
+            # smallest float.
+            lens = 0.0
     else:
         # Rational gate: margin >= 0 means zero intersection exactly, no
         # float rounding allowed to say otherwise.
