@@ -2,7 +2,11 @@
 
 Three routes that deliberately avoid the rational shortcuts: a trigonometric
 coordinate distance, a seeded Monte Carlo lens-area estimator, and a
-conservative grid rasterizer for the overlap verdict.
+conservative grid rasterizer for the overlap verdict.  The coordinate
+distance and the rasterizer take the dig centres from the scenario's one
+trig kernel (``scenario._dig_frame``, which :func:`~goldbug.scenario.layout`
+also builds on), as the floats ``layout`` would hold, without building a
+``Layout``.
 
 The Monte Carlo stream is numpy's PCG64 (``numpy.random.default_rng``) drawn
 in fixed chunks of 1,000,000 samples, each chunk its radii then its angles;
@@ -10,22 +14,26 @@ these choices are part of the golden contract and must never change
 silently.  The kernel reads each chunk through two cursors on that one
 stream, one at the radii and one at the angles, in blocks of ``_BLOCK``
 samples, so its memory is O(``_BLOCK``) whatever ``samples`` is, and the
-estimate does not depend on the block size.  Its hit test is a float32 screen
-that decides every sample clear of disc B's boundary, plus an exact float64
-recheck of the few samples near it, so estimates equal those of the plain
-float64 loop bit for bit.
+estimate does not depend on the block size.  Its hit test is a float32
+screen, the law of cosines with the centre-distance term folded into its
+cut-offs (one cos per sample, no sin), that decides every sample clear of
+disc B's boundary, plus an exact float64 recheck of the few samples near
+it, so estimates equal those of the plain float64 loop bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .scenario import Convention, Scenario, layout
+# layout stays bound here although the oracles build their points from
+# _dig_frame: goldbench's tracer wraps the name in this module too.
+from .scenario import Convention, Scenario, _dig_frame, layout  # noqa: F401
 from .units import INCHES_PER_FOOT, DomainError, Length
 
 MC_CHUNK = 1_000_000
@@ -36,6 +44,9 @@ _BLOCK = 1 << 16
 # smallest squared length it trusts float64 to carry at full precision.
 _SCREEN_TAU = 2.0**-12
 _SCREEN_TINY = 1e-280
+# overlap_oracle_grid refuses grids of more cells than this: each float64
+# temporary would take 128 MiB.
+GRID_MAX_CELLS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -48,8 +59,11 @@ class McEstimate:
 
 def center_distance_oracle(s: Scenario) -> float:
     """Hole-centre distance via coordinates only (no rational shortcut)."""
-    lay = layout(s)
-    return math.hypot(lay.dig_a.x - lay.dig_b.x, lay.dig_a.y - lay.dig_b.y)
+    drop_x, half_sep, stretch = _dig_frame(s)
+    # Dig centres A and B, each coordinate the float layout(s) gives.
+    ax, ay = drop_x * stretch, half_sep * stretch
+    bx, by = drop_x * stretch, -half_sep * stretch
+    return math.hypot(ax - bx, ay - by)
 
 
 def lens_area_mc(
@@ -64,8 +78,16 @@ def lens_area_mc(
     The estimate is hit_rate * area(A) with the matching binomial standard
     error; identical (seed, samples) reproduce the estimate bit for bit.
     """
+    try:
+        samples, seed = operator.index(samples), operator.index(seed)
+    except TypeError:
+        raise DomainError(
+            f"samples and seed must be integers, got {samples!r} and {seed!r}"
+        ) from None
     if samples < 1_000:
         raise DomainError(f"need at least 1000 samples, got {samples}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     if radius_a <= 0 or radius_b <= 0:
         raise DomainError("radii must be > 0")
     if not all(math.isfinite(v) for v in (distance, radius_a, radius_b)):
@@ -75,27 +97,35 @@ def lens_area_mc(
         raise DomainError("inputs too large: the area would overflow")
 
     rb2 = radius_b * radius_b
-    # Float32 screen.  Lengths are scaled by s = radius_a + |distance|, so a
-    # sample's squared distance to B's centre is q = |P - B|^2 / s^2 <= 1,
-    # and it is a hit when q <= rb^2 / s^2.  The screen's q' differs from the
-    # exact q by less than about 6e-6 (~2^-17): float32 rounding of rho, of
-    # theta (< 2^-22 absolute on [0, 2pi)) and of each product and sum, plus
-    # numpy's <= 1.5 ulp float32 sin/cos.  Rounding the cut-offs to float32
-    # adds at most 2^-18 while rb < 8s (rb^2 / s^2 < 64), and the float64
-    # path below is within about 1e-15 of q.  So with tau = 2^-12 every
-    # verdict the screen gives (q' < lo: hit, q' > hi: miss) is the one the
-    # float64 expressions give, with more than 20x to spare.  The samples in
-    # [lo, hi] are recomputed with those float64 expressions.  Scales whose
-    # squares overflow or come near the subnormal range, and discs B more
-    # than 8s wide, get tau = inf: every sample takes the exact path.
+    # Float32 screen.  Lengths are scaled by s = radius_a + |distance|, so
+    # with a = radius_a / s and t = distance / s (a + |t| = 1) a sample at
+    # radius a*sqrt(u) and angle theta lies at squared distance
+    #     q = a^2 u - 2 a t sqrt(u) cos(theta) + t^2
+    # from B's centre, in units of s^2, and it is a hit when q <= rb^2 / s^2.
+    # The screen computes q' = a^2 u - 2 a t sqrt(u) cos(theta) in float32
+    # and folds t^2 into the float64 cut-offs before they are rounded to
+    # float32.  Its first term is at most 1 and its second at most 1/2, so
+    # float32 rounding of u, sqrt(u), theta (< 2^-22 absolute on [0, 2pi)),
+    # the coefficients, each product and the sum, plus numpy's <= 1.5 ulp
+    # float32 cos, move q' by less than 10 * 2^-24.  Rounding the cut-offs
+    # (|rb^2 / s^2 - t^2| < 65 while rb < 8s) adds at most 65 * 2^-24, and
+    # the float64 path below is within about 1e-15 of q.  So with
+    # tau = 2^-12 every verdict the screen gives (q' < lo: hit, q' > hi:
+    # miss) is the one the float64 expressions give, with more than 50x to
+    # spare.  The samples in [lo, hi] are recomputed with those float64
+    # expressions.  Scales whose squares overflow or come near the subnormal
+    # range, and discs B more than 8s wide, get tau = inf: every sample
+    # takes the exact path.
     s = radius_a + abs(distance)
     s2 = s * s
+    a_s, t_s = radius_a / s, distance / s
     if _SCREEN_TINY <= min(s2, rb2) and max(s2, rb2) < math.inf and radius_b < 8.0 * s:
-        lo, hi = rb2 / s2 - _SCREEN_TAU, rb2 / s2 + _SCREEN_TAU
+        cut = rb2 / s2 - t_s * t_s
+        lo, hi = cut - _SCREEN_TAU, cut + _SCREEN_TAU
     else:
         lo, hi = -math.inf, math.inf
     lo32, hi32 = np.float32(lo), np.float32(hi)
-    ra_s, d_s = np.float32(radius_a / s), np.float32(distance / s)
+    a2, a_t = np.float32(a_s * a_s), np.float32(-2.0 * a_s * t_s)
 
     # Draw order (a chunk's radii, then its angles) is fixed: it defines the
     # stream.  Two cursors read it block by block: u at a chunk's radii and
@@ -105,7 +135,7 @@ def lens_area_mc(
     v_gen = np.random.Generator(np.random.PCG64(seed))
     size = min(_BLOCK, samples)
     u_buf, v_buf = np.empty(size), np.empty(size)
-    rho_buf, theta_buf, q_buf = (np.empty(size, np.float32) for _ in range(3))
+    root_buf, cos_buf, q_buf = (np.empty(size, np.float32) for _ in range(3))
     hits = 0
     done = 0
     while done < samples:
@@ -115,19 +145,15 @@ def lens_area_mc(
             m = min(_BLOCK, n - start)
             u = u_gen.random(m, out=u_buf[:m])
             v = v_gen.random(m, out=v_buf[:m])
-            rho = rho_buf[:m]
-            rho[...] = u
-            np.sqrt(rho, out=rho)
-            rho *= ra_s
-            theta = np.multiply(v, 2.0 * math.pi, out=theta_buf[:m])
-            q = np.cos(theta, out=q_buf[:m])
-            q *= rho
-            q -= d_s
-            q *= q
-            y2 = np.sin(theta, out=theta)
-            y2 *= rho
-            y2 *= y2
-            q += y2
+            root = root_buf[:m]
+            root[...] = u
+            q = np.multiply(root, a2, out=q_buf[:m])
+            np.sqrt(root, out=root)
+            cos = np.multiply(v, 2.0 * math.pi, out=cos_buf[:m])
+            np.cos(cos, out=cos)
+            cos *= root
+            cos *= a_t
+            q += cos
             hits += int(np.count_nonzero(q < lo32))
             band = np.flatnonzero((q >= lo32) & (q <= hi32))
             # Exact recheck: the same elementwise float64 expressions as over
@@ -159,14 +185,19 @@ def overlap_oracle_grid(s: Scenario, cells_per_foot: int) -> bool:
     intersection of the two circles' bounding boxes (anywhere else a point
     cannot be inside both), anchored at that region's corner, in a frame
     centred between the holes so huge scenes keep full float precision.
+    A grid of more than ``GRID_MAX_CELLS`` cells is refused with
+    DomainError before any array is built.
     """
     if cells_per_foot < 16:
         raise DomainError(f"cells_per_foot must be >= 16, got {cells_per_foot}")
-    lay = layout(s)
-    mid_x = (lay.dig_a.x + lay.dig_b.x) / 2.0
-    mid_y = (lay.dig_a.y + lay.dig_b.y) / 2.0
-    ax, ay = lay.dig_a.x - mid_x, lay.dig_a.y - mid_y
-    bx, by = lay.dig_b.x - mid_x, lay.dig_b.y - mid_y
+    drop_x, half_sep, stretch = _dig_frame(s)
+    # Dig centres as layout(s) gives them, then moved to the centred frame.
+    dig_ax, dig_ay = drop_x * stretch, half_sep * stretch
+    dig_bx, dig_by = drop_x * stretch, -half_sep * stretch
+    mid_x = (dig_ax + dig_bx) / 2.0
+    mid_y = (dig_ay + dig_by) / 2.0
+    ax, ay = dig_ax - mid_x, dig_ay - mid_y
+    bx, by = dig_bx - mid_x, dig_by - mid_y
     *_, rA, rB = s.counts
     foot = INCHES_PER_FOOT * s.scale
     ra, rb = rA / foot, rB / foot
@@ -181,6 +212,11 @@ def overlap_oracle_grid(s: Scenario, cells_per_foot: int) -> bool:
     step = 1.0 / cells_per_foot
     nx = max(1, math.ceil((hi_x - lo_x) / step))
     ny = max(1, math.ceil((hi_y - lo_y) / step))
+    if nx * ny > GRID_MAX_CELLS:
+        raise DomainError(
+            f"the grid would need {nx} x {ny} cells, more than {GRID_MAX_CELLS}:"
+            " lower cells_per_foot"
+        )
     xs = lo_x + (np.arange(nx) + 0.5) * step
     ys = lo_y + (np.arange(ny) + 0.5) * step
     # A sparse grid: a row of x and a column of y, broadcast together.

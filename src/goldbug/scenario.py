@@ -174,12 +174,12 @@ def center_distance(s: Scenario) -> Fraction:
     return Fraction(d * ray, INCHES_PER_FOOT * drop * s.scale)
 
 
-def layout(s: Scenario) -> Layout:
-    """Coordinate construction of the dig site (the trig route).
+def _dig_frame(s: Scenario) -> tuple[float, float, float]:
+    """The floats every layout point is made of: (drop_x, half_sep, stretch).
 
-    Drop points are placed at ((r+L)cos(theta), +-d/2) and dig centres by
-    scaling them from the origin by D/(r+L).  Kept deliberately independent
-    of :func:`center_distance` so the two can cross-check each other.
+    Drop points sit at (drop_x, +-half_sep) ft and dig centres at those
+    coordinates times stretch = D/(r+L).  This is the one trig route:
+    :func:`layout` and the oracles all build their points from it.
     """
     # Every float below is an int true division, so it is the correctly
     # rounded value of its exact ratio (the same float as float(Fraction)).
@@ -192,10 +192,19 @@ def layout(s: Scenario) -> Layout:
     drop2 = 4 * drop * drop
     # cos(theta) = sqrt(1 - sin^2) with sin(theta) = (d/2)/(r+L).
     cos_t = math.sqrt((drop2 - d * d) / drop2)
-    drop_x = drop / foot * cos_t
-    half_sep = d / (2 * foot)
-    stretch = ray / drop
+    return drop / foot * cos_t, d / (2 * foot), ray / drop
 
+
+def layout(s: Scenario) -> Layout:
+    """Coordinate construction of the dig site (the trig route).
+
+    Drop points are placed at ((r+L)cos(theta), +-d/2) and dig centres by
+    scaling them from the origin by D/(r+L).  Kept deliberately independent
+    of :func:`center_distance` so the two can cross-check each other.
+    """
+    drop_x, half_sep, stretch = _dig_frame(s)
+    r, L, d, *_ = s.counts
+    drop = r + L
     drop_a = Point(drop_x, half_sep)
     drop_b = Point(drop_x, -half_sep)
     return Layout(

@@ -1,10 +1,11 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from goldbug import oracle
@@ -17,8 +18,8 @@ from goldbug.oracle import (
     overlap_oracle_grid,
     random_scenarios,
 )
-from goldbug.scenario import Convention, Scenario, center_distance
-from goldbug.units import DomainError, Length, parse_length
+from goldbug.scenario import Convention, Scenario, center_distance, layout
+from goldbug.units import INCHES_PER_FOOT, MAX_DIGITS, DomainError, Length, parse_length
 
 STORY = Scenario(trunk_radius=parse_length("2in"), socket_offset=parse_length("3ft"))
 
@@ -38,6 +39,120 @@ def test_coordinate_distance_matches_closed_form():
     for s in random_scenarios(500, seed=101):
         closed = float(center_distance(s))
         assert abs(closed - center_distance_oracle(s)) / closed < 1e-12
+
+
+# The oracles as they were built on layout(s): the references that the
+# dig-centre kernel must reproduce bit for bit.
+
+
+def _layout_center_distance_oracle(s):
+    lay = layout(s)
+    return math.hypot(lay.dig_a.x - lay.dig_b.x, lay.dig_a.y - lay.dig_b.y)
+
+
+def _layout_overlap_oracle_grid(s, cells_per_foot):
+    if cells_per_foot < 16:
+        raise DomainError(f"cells_per_foot must be >= 16, got {cells_per_foot}")
+    lay = layout(s)
+    mid_x = (lay.dig_a.x + lay.dig_b.x) / 2.0
+    mid_y = (lay.dig_a.y + lay.dig_b.y) / 2.0
+    ax, ay = lay.dig_a.x - mid_x, lay.dig_a.y - mid_y
+    bx, by = lay.dig_b.x - mid_x, lay.dig_b.y - mid_y
+    *_, rA, rB = s.counts
+    foot = INCHES_PER_FOOT * s.scale
+    ra, rb = rA / foot, rB / foot
+
+    lo_x = max(ax - ra, bx - rb)
+    hi_x = min(ax + ra, bx + rb)
+    lo_y = max(ay - ra, by - rb)
+    hi_y = min(ay + ra, by + rb)
+    if lo_x >= hi_x or lo_y >= hi_y:
+        return False
+
+    step = 1.0 / cells_per_foot
+    nx = max(1, math.ceil((hi_x - lo_x) / step))
+    ny = max(1, math.ceil((hi_y - lo_y) / step))
+    xs = lo_x + (np.arange(nx) + 0.5) * step
+    ys = lo_y + (np.arange(ny) + 0.5) * step
+    # A sparse grid: a row of x and a column of y, broadcast together.
+    gx, gy = xs, ys[:, np.newaxis]
+
+    in_a = (gx - ax) ** 2 + (gy - ay) ** 2 < ra * ra
+    in_b = (gx - bx) ** 2 + (gy - by) ** 2 < rb * rb
+    return bool(np.any(in_a & in_b))
+
+
+def _outcome(fn, *args):
+    """What fn(*args) gives, a float spelt bit for bit, or the error it raises."""
+    try:
+        got = fn(*args)
+    except (DomainError, OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+    return got.hex() if isinstance(got, float) else got
+
+
+# The grid cap while comparing with the reference, which has none: a grid
+# the oracle refuses is never built.
+_COMPARED_CELLS = 1 << 16
+
+
+def _assert_oracles_match_layout(s):
+    """True when the grid was compared, False when the oracle refused it."""
+    assert _outcome(center_distance_oracle, s) == _outcome(_layout_center_distance_oracle, s)
+    with mock.patch.object(oracle, "GRID_MAX_CELLS", _COMPARED_CELLS):
+        got = _outcome(overlap_oracle_grid, s, 16)
+    if isinstance(got, tuple) and got[0] is DomainError and "cells" in got[1]:
+        return False
+    assert got == _outcome(_layout_overlap_oracle_grid, s, 16)
+    return True
+
+
+@st.composite
+def wide_scenarios(draw):
+    """Scenarios with lengths of up to MAX_DIGITS digits, in both
+    conventions, with drop points diametrically opposite (d = 2(r+L)) or
+    not, and with rays so long that the stretch D/(r+L) or the dig-centre
+    coordinates overflow a float."""
+
+    def wide(min_value=1):
+        num, den = (draw(st.sampled_from((1, 3, 20, 150, MAX_DIGITS))) for _ in range(2))
+        return Fraction(
+            draw(st.integers(min_value, 10**num - 1)), draw(st.integers(1, 10**den - 1))
+        )
+
+    r = Fraction(0) if draw(st.booleans()) else wide()
+    L = wide()
+    d = 2 * (r + L) if draw(st.booleans()) else min(wide(), 2 * (r + L))
+    if draw(st.booleans()):
+        E = wide(min_value=0)
+    else:
+        E = (r + L) * 10 ** draw(st.sampled_from((150, 300, 307, 308, 320)))
+    convention = draw(st.sampled_from(Convention))
+    assume(convention is Convention.FROM_DROP_POINT or r + E > 0)
+    return Scenario(
+        Length(r), Length(L), Length(d), Length(E), Length(wide()), Length(wide()), convention
+    )
+
+
+def _overflowing(d):
+    """r = 0, L = 100 in, separation d and a stretch of 10^308: the dig
+    centre's y overflows when d = 200 in, its x when d is small."""
+    inches = (0, 100, d, 100 * 10**308, 5, 7)
+    return Scenario(*(Length(Fraction(n)) for n in inches))
+
+
+@settings(deadline=None)
+@given(wide_scenarios())
+@example(_overflowing(200))
+@example(_overflowing(1))
+def test_oracles_match_layout_on_wide_lengths(s):
+    _assert_oracles_match_layout(s)
+
+
+def test_oracles_match_layout_on_seeded_scenarios():
+    for seed in (1843, 7):
+        for s in random_scenarios(3_000, seed=seed):
+            assert _assert_oracles_match_layout(s)
 
 
 def test_random_scenarios_are_deterministic():
@@ -193,6 +308,14 @@ def test_mc_kernel_equals_float64_loop(geometry, samples, seed):
         (2.8125, 2.0, 2.0, MC_CHUNK - 1, 9),
         (0.6, 0.5, 1.0, MC_CHUNK + oracle._BLOCK + 1, 13),
         (2.8125, 2.0, 2.0, 2 * MC_CHUNK + 1, 17),
+        # Distance 0: the cosine term vanishes.
+        (0.0, 2.0, 1.5, 50_000, 19),
+        (-1.25, 2.0, 1.5, 50_000, 29),
+        # rb = 1e-3 * ra, disc B inside A: the band reaches q' = 0.
+        (0.5, 2.0, 2e-3, 10**6, 31),
+        # rb just under and just over 8s (s = 1.5): screened, then all exact.
+        (0.5, 1.0, math.nextafter(12.0, 0.0), 20_000, 37),
+        (0.5, 1.0, math.nextafter(12.0, math.inf), 20_000, 37),
     ],
 )
 def test_mc_kernel_equals_float64_loop_fixed(distance, radius_a, radius_b, samples, seed):
@@ -265,6 +388,11 @@ def test_mc_float64_recheck_runs(monkeypatch, distance, radius_a, radius_b, ever
         # radius_b^2 overflows: every sample hit two disjoint discs.
         dict(distance=3e200, radius_a=1.0, radius_b=1e200, samples=1_000, seed=0),
         dict(distance=-2e150, radius_a=1.0, radius_b=1.0, samples=10**4, seed=0),
+        # samples and seed must be ints, and seed >= 0.
+        dict(distance=1.0, radius_a=2.0, radius_b=2.0, samples=1e6, seed=0),
+        dict(distance=1.0, radius_a=2.0, radius_b=2.0, samples=1000.5, seed=0),
+        dict(distance=1.0, radius_a=2.0, radius_b=2.0, samples=10**4, seed=-1),
+        dict(distance=1.0, radius_a=2.0, radius_b=2.0, samples=10**4, seed=1.5),
     ],
 )
 def test_mc_rejects_bad_inputs(kwargs):
@@ -306,6 +434,24 @@ def test_grid_requires_minimum_resolution():
     with pytest.raises(DomainError, match="cells_per_foot"):
         overlap_oracle_grid(STORY, 8)
     assert overlap_oracle_grid(STORY, 16)
+
+
+def test_grid_refuses_oversized_grids_before_allocating():
+    # 10^12 cells per foot over the story's overlap asks for about 10^24
+    # cells: refused before numpy allocates anything.
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="cells"):
+            overlap_oracle_grid(STORY, 10**12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10, peak
+    # The same region at a resolution within the cap is still rastered.
+    with mock.patch.object(oracle, "GRID_MAX_CELLS", 1 << 12):
+        with pytest.raises(DomainError, match="cells"):
+            overlap_oracle_grid(STORY, 64)
+        assert overlap_oracle_grid(STORY, 16)
 
 
 def test_grid_agrees_outside_the_resolution_band():
