@@ -1,6 +1,7 @@
 """Command-line interface: reports, thresholds, sweeps, claim suite, SVG.
 
-Exit codes: 0 success, 1 claim-suite failure, 2 usage or validation error.
+Exit codes: 0 success, 1 claim-suite failure, 2 usage or validation error,
+141 (128 + SIGPIPE) when stdout's reader closes it early (``| head -1``).
 JSON goes to stdout, diagnostics to stderr.  Scenario flags override config
 file values (``--config`` or $GOLDBUG_CONFIG, flat ``key = value`` lines),
 which override the built-in story defaults.
@@ -37,6 +38,7 @@ from .units import (
 EXIT_OK = 0
 EXIT_CLAIMS_FAILED = 1
 EXIT_USAGE = 2
+EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a killed writer
 
 CONFIG_ENV_VAR = "GOLDBUG_CONFIG"
 CONFIG_KEYS = (*PARAMS, "convention", "format")
@@ -471,7 +473,18 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        if sys.stdout is not None:  # None when the process started without fd 1
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # Nobody reads stdout any more.  Point it at devnull so that the
+        # interpreter's final flush of what is still buffered cannot raise.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = EXIT_CLOSED_STDOUT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -19,13 +19,22 @@ screen, the law of cosines with the centre-distance term folded into its
 cut-offs (one cos per sample, no sin), that decides every sample clear of
 disc B's boundary, plus an exact float64 recheck of the few samples near
 it, so estimates equal those of the plain float64 loop bit for bit.
+
+A call of 16 or more blocks is counted in spans of whole blocks, one span
+per CPU the process may run on (``taskset`` limits them) and each at least
+8 blocks long: the caller counts the first span and a thread each of the
+others, every thread is joined before the call returns, and the integer
+hits are summed.  Each span opens its own cursors on the stream, so the
+estimate does not depend on the CPU count.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import os
 import random
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,6 +53,10 @@ _BLOCK = 1 << 16
 # smallest squared length it trusts float64 to carry at full precision.
 _SCREEN_TAU = 2.0**-12
 _SCREEN_TINY = 1e-280
+# lens_area_mc counts a call in spans of at least this many blocks, one span
+# per usable CPU: calls of fewer than twice as many run in one span, in the
+# calling thread.  Shorter spans cost more CPU in threads than they save.
+_SPAN_MIN_BLOCKS = 8
 # overlap_oracle_grid refuses grids of more cells than this: each float64
 # temporary would take 128 MiB.
 GRID_MAX_CELLS = 1 << 24
@@ -77,6 +90,9 @@ def lens_area_mc(
 
     The estimate is hit_rate * area(A) with the matching binomial standard
     error; identical (seed, samples) reproduce the estimate bit for bit.
+    Calls of 16 or more ``_BLOCK``s (more than 983,040 samples) are counted
+    in spans on the CPUs the process may use, which ``taskset`` limits; the
+    estimate does not depend on how many there are.
     """
     try:
         samples, seed = operator.index(samples), operator.index(seed)
@@ -125,24 +141,91 @@ def lens_area_mc(
     else:
         lo, hi = -math.inf, math.inf
     lo32, hi32 = np.float32(lo), np.float32(hi)
-    a2, a_t = np.float32(a_s * a_s), np.float32(-2.0 * a_s * t_s)
 
-    # Draw order (a chunk's radii, then its angles) is fixed: it defines the
-    # stream.  Two cursors read it block by block: u at a chunk's radii and
-    # v, advanced past them, at its angles.  After the chunk u skips the
-    # angles v read, so both sit at the next chunk's start.
-    u_gen = np.random.default_rng(seed)
-    v_gen = np.random.Generator(np.random.PCG64(seed))
+    screen = (lo32, hi32, np.float32(a_s * a_s), np.float32(-2.0 * a_s * t_s))
+    hits = _count_hits(seed, samples, screen, (radius_a, distance, rb2))
+
+    area_a = math.pi * radius_a * radius_a
+    rate = hits / samples
+    return McEstimate(
+        value=rate * area_a,
+        std_error=math.sqrt(rate * (1.0 - rate) / samples) * area_a,
+        samples=samples,
+        seed=seed,
+    )
+
+
+def _count_hits(seed: int, samples: int, screen: tuple, exact: tuple) -> int:
+    """lens_area_mc's hit count, counted in spans as the module describes."""
+    # Every chunk is read in blocks of _BLOCK samples, its last one short.
+    per_chunk = -(-MC_CHUNK // _BLOCK)
+    full, rest = divmod(samples, MC_CHUNK)
+    blocks = full * per_chunk + -(-rest // _BLOCK)
+    spans = max(1, min(blocks // _SPAN_MIN_BLOCKS, _usable_cpus()))
+    bounds = [i * blocks // spans for i in range(spans + 1)]
+    counts: list = [None] * spans
+
+    def count(i: int) -> None:
+        try:
+            counts[i] = _count_blocks(seed, samples, bounds[i], bounds[i + 1], screen, exact)
+        except BaseException as exc:  # raised below, once every thread is joined
+            counts[i] = exc
+
+    threads = []
+    try:
+        for i in range(1, spans):
+            threads.append(threading.Thread(target=count, args=(i,)))
+            threads[-1].start()
+        count(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for result in counts:
+        if isinstance(result, BaseException):
+            raise result
+    return sum(counts)
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on (``taskset`` limits them)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _count_blocks(
+    seed: int, samples: int, first: int, stop: int, screen: tuple, exact: tuple
+) -> int:
+    """Hits among the samples of blocks ``first`` .. ``stop - 1`` of a
+    lens_area_mc call, numbered through its chunks in stream order.
+
+    Draw order (a chunk's radii, then its angles) is fixed: it defines the
+    stream.  In each chunk it covers the span opens two cursors on that
+    stream, u at its first radius there and v at its first angle, and reads
+    both block by block.  Samples the float32 screen leaves in the band are
+    kept, and rechecked once _BLOCK of them are waiting or the span ends.
+    """
+    lo32, hi32, a2, a_t = screen
+    per_chunk = -(-MC_CHUNK // _BLOCK)
     size = min(_BLOCK, samples)
     u_buf, v_buf = np.empty(size), np.empty(size)
     root_buf, cos_buf, q_buf = (np.empty(size, np.float32) for _ in range(3))
+    band_u: list = []
+    band_v: list = []
+    waiting = 0
     hits = 0
-    done = 0
-    while done < samples:
-        n = min(MC_CHUNK, samples - done)
-        v_gen.bit_generator.advance(n)
-        for start in range(0, n, _BLOCK):
-            m = min(_BLOCK, n - start)
+    block = first
+    while block < stop:
+        chunk, index = divmod(block, per_chunk)
+        begin = chunk * MC_CHUNK
+        n = min(MC_CHUNK, samples - begin)
+        start, end = index * _BLOCK, min(n, (index + stop - block) * _BLOCK)
+        # The chunk's radii start at stream position 2 * begin, its angles n on.
+        u_gen = _cursor(seed, 2 * begin + start)
+        v_gen = _cursor(seed, 2 * begin + n + start)
+        for at in range(start, end, _BLOCK):
+            m = min(_BLOCK, end - at)
             u = u_gen.random(m, out=u_buf[:m])
             v = v_gen.random(m, out=v_buf[:m])
             root = root_buf[:m]
@@ -156,24 +239,37 @@ def lens_area_mc(
             q += cos
             hits += int(np.count_nonzero(q < lo32))
             band = np.flatnonzero((q >= lo32) & (q <= hi32))
-            # Exact recheck: the same elementwise float64 expressions as over
-            # the whole chunk, so each verdict is the one they would give there.
-            radii = radius_a * np.sqrt(u[band])
-            angles = (2.0 * math.pi) * v[band]
-            dx = radii * np.cos(angles) - distance
-            dy = radii * np.sin(angles)
-            hits += int(np.count_nonzero(dx * dx + dy * dy <= rb2))
-        u_gen.bit_generator.advance(n)
-        done += n
+            band_u.append(u[band])
+            band_v.append(v[band])
+            waiting += band.size
+            if waiting >= _BLOCK:
+                hits += _recheck(band_u, band_v, *exact)
+                waiting = 0
+        block += -(-(end - start) // _BLOCK)
+    return hits + _recheck(band_u, band_v, *exact)
 
-    area_a = math.pi * radius_a * radius_a
-    rate = hits / samples
-    return McEstimate(
-        value=rate * area_a,
-        std_error=math.sqrt(rate * (1.0 - rate) / samples) * area_a,
-        samples=samples,
-        seed=seed,
-    )
+
+def _cursor(seed: int, position: int) -> np.random.Generator:
+    """A generator on the PCG64 stream of ``seed``, ``position`` draws in."""
+    bits = np.random.PCG64(seed)
+    bits.advance(position)
+    return np.random.Generator(bits)
+
+
+def _recheck(band_u: list, band_v: list, radius_a, distance, rb2) -> int:
+    """Hits among the band samples, which it empties: the same elementwise
+    float64 expressions as over a whole chunk, so each verdict is the one
+    they would give there."""
+    if not band_u:
+        return 0
+    u, v = np.concatenate(band_u), np.concatenate(band_v)
+    band_u.clear()
+    band_v.clear()
+    radii = radius_a * np.sqrt(u)
+    angles = (2.0 * math.pi) * v
+    dx = radii * np.cos(angles) - distance
+    dy = radii * np.sin(angles)
+    return int(np.count_nonzero(dx * dx + dy * dy <= rb2))
 
 
 def overlap_oracle_grid(s: Scenario, cells_per_foot: int) -> bool:
@@ -188,6 +284,10 @@ def overlap_oracle_grid(s: Scenario, cells_per_foot: int) -> bool:
     A grid of more than ``GRID_MAX_CELLS`` cells is refused with
     DomainError before any array is built.
     """
+    try:
+        cells_per_foot = operator.index(cells_per_foot)
+    except TypeError:
+        raise DomainError(f"cells_per_foot must be an integer, got {cells_per_foot!r}") from None
     if cells_per_foot < 16:
         raise DomainError(f"cells_per_foot must be >= 16, got {cells_per_foot}")
     drop_x, half_sep, stretch = _dig_frame(s)
@@ -209,9 +309,12 @@ def overlap_oracle_grid(s: Scenario, cells_per_foot: int) -> bool:
     if lo_x >= hi_x or lo_y >= hi_y:
         return False
 
-    step = 1.0 / cells_per_foot
-    nx = max(1, math.ceil((hi_x - lo_x) / step))
-    ny = max(1, math.ceil((hi_y - lo_y) / step))
+    try:
+        step = 1.0 / cells_per_foot
+        nx = max(1, math.ceil((hi_x - lo_x) / step))
+        ny = max(1, math.ceil((hi_y - lo_y) / step))
+    except OverflowError:  # 1 / cells_per_foot or a side's cell count
+        raise DomainError("cells_per_foot is too fine: the grid is beyond float range") from None
     if nx * ny > GRID_MAX_CELLS:
         raise DomainError(
             f"the grid would need {nx} x {ny} cells, more than {GRID_MAX_CELLS}:"

@@ -708,3 +708,37 @@ def test_python_m_goldbug_is_the_cli(capsys, argv):
     )
     code, out, err = run(capsys, *argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+def test_closed_stdout_exits_141_quietly(fmt):
+    # `goldbug sweep ... | head -1`: 10,000 rows, far more than a pipe holds.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "goldbug", "sweep", *STORY_ARGS,
+         "--axis", "L=1in:834.25in:1/12in", *fmt],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    try:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+
+
+def test_no_stdout_at_all_is_not_an_error():
+    # Started with fd 1 closed, Python sets sys.stdout to None and print()
+    # writes nothing: the command still succeeds.
+    proc = subprocess.run(
+        [sys.executable, "-m", "goldbug", "report", *STORY_ARGS],
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=60,
+        preexec_fn=lambda: os.close(1),
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")

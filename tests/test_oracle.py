@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -331,17 +333,93 @@ def test_mc_estimate_does_not_depend_on_block_size(monkeypatch):
         assert lens_area_mc(*args) == want, block
 
 
-def test_mc_memory_is_bounded_by_the_block():
-    # numpy reports its buffers to tracemalloc.  Whole-chunk buffers for
-    # 2.3M samples peaked at about 28 MB; blocked ones stay near 2 MB.
-    lens_area_mc(1.3, 1.5, 1.2, 2_300_000, 11)
-    tracemalloc.start()
-    try:
+def test_mc_memory_is_bounded_by_the_block(monkeypatch):
+    # numpy reports its buffers to tracemalloc, from every thread.
+    # Whole-chunk buffers for 2.3M samples peaked at about 28 MB; blocked
+    # ones stay near 2 MB in each span.  2.3M samples make 37 blocks, so
+    # one span per CPU.
+    for cpus in (1, 4):
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
         lens_area_mc(1.3, 1.5, 1.2, 2_300_000, 11)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20, peak
+        tracemalloc.start()
+        try:
+            lens_area_mc(1.3, 1.5, 1.2, 2_300_000, 11)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < cpus * 4 * 2**20, (cpus, peak)
+
+
+# Blocks of this size make every span case below quick.
+_SPAN_BLOCK = 1_024
+
+
+@pytest.mark.parametrize(
+    "distance,radius_a,radius_b,samples,seed",
+    [
+        (1.0, 2.0, 1.5, 1_000, 41),
+        (1.0, 2.0, 1.5, 15 * _SPAN_BLOCK, 43),
+        (1.0, 2.0, 1.5, 16 * _SPAN_BLOCK - 1, 43),
+        (1.0, 2.0, 1.5, 16 * _SPAN_BLOCK + 1, 43),
+        (2.8125, 2.0, 2.0, MC_CHUNK - 1, 47),
+        (2.8125, 2.0, 2.0, MC_CHUNK + 1, 47),
+        (0.6, 0.5, 1.0, 2 * MC_CHUNK + 1, 53),
+        (-1.25, 2.0, 1.5, MC_CHUNK + 1, 59),
+        # rb >= 8s: tau = inf, every sample is rechecked.
+        (0.5, 1.0, 12.5, 16 * _SPAN_BLOCK + 1, 61),
+    ],
+)
+def test_mc_spans_equal_float64_loop(monkeypatch, distance, radius_a, radius_b, samples, seed):
+    want = repr(_reference_lens_area_mc(distance, radius_a, radius_b, samples, seed))
+    monkeypatch.setattr(oracle, "_BLOCK", _SPAN_BLOCK)
+    spans = []
+    count_blocks = oracle._count_blocks
+
+    def spy(seed, samples, first, stop, *rest):
+        spans.append((first, stop))
+        return count_blocks(seed, samples, first, stop, *rest)
+
+    monkeypatch.setattr(oracle, "_count_blocks", spy)
+    per_chunk = -(-MC_CHUNK // _SPAN_BLOCK)
+    blocks = samples // MC_CHUNK * per_chunk + -(-(samples % MC_CHUNK) // _SPAN_BLOCK)
+    for cpus in (1, 2, 3, 5):
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
+        threads = threading.active_count()
+        spans.clear()
+        got = lens_area_mc(distance, radius_a, radius_b, samples, seed)
+        assert threading.active_count() == threads, cpus
+        assert repr(got) == want, cpus
+        # Contiguous spans of at least 8 blocks each, one per CPU at most,
+        # that cover every block once; fewer than 16 blocks make one span.
+        spans.sort()
+        assert spans[0][0] == 0 and spans[-1][1] == blocks
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        assert len(spans) == max(1, min(cpus, blocks // 8))
+        assert all(stop - first >= 8 for first, stop in spans) or len(spans) == 1
+
+
+# 2 chunks of 16 blocks on 3 CPUs make spans from blocks 0, 10 and 21; the
+# caller counts the first one itself.
+@pytest.mark.parametrize("failing_first", [0, 21], ids=["caller's span", "thread's span"])
+def test_mc_span_error_is_raised_after_every_join(monkeypatch, failing_first):
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 3)
+    count_blocks = oracle._count_blocks
+    finished = []
+
+    def count(seed, samples, first, stop, *rest):
+        if first == failing_first:
+            raise RuntimeError("span failed")
+        time.sleep(0.2)
+        hits = count_blocks(seed, samples, first, stop, *rest)
+        finished.append(first)
+        return hits
+
+    monkeypatch.setattr(oracle, "_count_blocks", count)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="span failed"):
+        lens_area_mc(1.0, 2.0, 1.5, 2 * MC_CHUNK, 7)
+    assert len(finished) == 2
+    assert threading.active_count() == threads
 
 
 class _CosRecorder:
@@ -431,8 +509,10 @@ def test_grid_survives_huge_coordinates():
 
 
 def test_grid_requires_minimum_resolution():
-    with pytest.raises(DomainError, match="cells_per_foot"):
-        overlap_oracle_grid(STORY, 8)
+    # 16.5 was rastered, NaN raised ValueError and 10^400 OverflowError.
+    for cells_per_foot in (8, 16.5, float("nan"), 10**400):
+        with pytest.raises(DomainError, match="cells_per_foot"):
+            overlap_oracle_grid(STORY, cells_per_foot)
     assert overlap_oracle_grid(STORY, 16)
 
 
