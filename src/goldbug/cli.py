@@ -5,6 +5,10 @@ Exit codes: 0 success, 1 claim-suite failure, 2 usage or validation error,
 JSON goes to stdout, diagnostics to stderr.  Scenario flags override config
 file values (``--config`` or $GOLDBUG_CONFIG, flat ``key = value`` lines),
 which override the built-in story defaults.
+
+``main`` reads the config file once and hands it to the command, a straight
+line from typed inputs to one library call to an encoder; ``main`` is also
+the one place an error becomes an exit code and its one ``goldbug:`` line.
 """
 
 from __future__ import annotations
@@ -49,9 +53,7 @@ MAX_LENGTH_INCHES = 10**300
 
 
 class CliError(Exception):
-    def __init__(self, message: str, exit_code: int = EXIT_USAGE) -> None:
-        super().__init__(message)
-        self.exit_code = exit_code
+    """A usage error found by the CLI itself; its message is the whole report."""
 
 
 # ---------------------------------------------------------------------------
@@ -162,11 +164,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="write an SVG diagram of the dig site",
     )
     p_render.add_argument("--out", required=True, help="output SVG path")
-    p_render.add_argument("--width", type=int, default=1200, help="canvas width px")
-    p_render.add_argument("--height", type=int, default=260, help="canvas height px")
-    p_render.add_argument("--margin", type=int, default=24, help="canvas margin px")
+    canvas = CanvasSpec()  # the canvas defaults live in render
+    p_render.add_argument("--width", type=int, default=canvas.width_px, help="canvas width px")
+    p_render.add_argument("--height", type=int, default=canvas.height_px, help="canvas height px")
+    p_render.add_argument("--margin", type=int, default=canvas.margin_px, help="canvas margin px")
     p_render.add_argument(
-        "--feet-per-px", type=float, default=0.05, help="scale (feet per pixel)"
+        "--feet-per-px", type=float, default=canvas.feet_per_px, help="scale (feet per pixel)"
     )
     p_render.add_argument(
         "--no-labels", action="store_true", help="omit point labels"
@@ -174,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.add_argument(
         "--exaggerate-angle",
         type=float,
-        default=1.0,
+        default=canvas.angle_exaggeration,
         metavar="FACTOR",
         help="display-only half-angle multiplier (distances stay true)",
     )
@@ -279,12 +282,15 @@ def _build_scenario(args: argparse.Namespace, config: dict[str, str]) -> Scenari
 
 
 def _output_format(args: argparse.Namespace, config: dict[str, str]) -> str:
+    """--json, else the --format flag or config value, checked; text when unset."""
     if getattr(args, "json", False):
         return "json"
-    flag = getattr(args, "format", None)
-    if flag is not None:
-        return flag
-    return config.get("format", "text")
+    raw = _effective(args, config, "format")
+    if raw is None:
+        return "text"
+    if raw not in ("text", "json"):
+        raise CliError(f"--format: unknown value {raw!r} (expected text or json)")
+    return raw
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +298,10 @@ def _output_format(args: argparse.Namespace, config: dict[str, str]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+def _cmd_report(args: argparse.Namespace, config: dict[str, str]) -> int:
+    fmt = _output_format(args, config)
     report = analysis.overlap_report(_build_scenario(args, config))
-    if _output_format(args, config) == "json":
+    if fmt == "json":
         print(json.dumps(jsonio.report_to_json(report), indent=2))
         return EXIT_OK
     ab, radii, margin = report.ab_ft, report.radii_sum_ft, report.margin_ft
@@ -320,8 +326,8 @@ def _threshold_line(label: str, t: analysis.Threshold) -> str:
     )
 
 
-def _cmd_threshold(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+def _cmd_threshold(args: argparse.Namespace, config: dict[str, str]) -> int:
+    fmt = _output_format(args, config)
     lengths = _lengths(args, config, required=("rA", "rB"))
     convention = _convention(args, config) or Convention.FROM_DROP_POINT
     trunk = lengths.get("r")
@@ -331,22 +337,18 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
         lengths.get("d", DEFAULT_SOCKET_SEPARATION),
         lengths.get("E", DEFAULT_EXTENSION),
     )
-    try:
-        if convention is Convention.FROM_TRUNK:
-            if trunk is None:
-                raise CliError("--r is required with --convention from-trunk")
-            bound = analysis.nonoverlap_threshold_from_trunk(trunk, *holes)
-        else:
-            bound = analysis.nonoverlap_threshold(*holes)
-        l_bound = (
-            analysis.max_l_for_nonoverlap(trunk, *holes, convention)
-            if trunk is not None
-            else None
-        )
-    except DomainError as exc:
-        raise CliError(str(exc)) from exc
-
-    if _output_format(args, config) == "json":
+    if convention is Convention.FROM_TRUNK:
+        if trunk is None:
+            raise CliError("--r is required with --convention from-trunk")
+        bound = analysis.nonoverlap_threshold_from_trunk(trunk, *holes)
+    else:
+        bound = analysis.nonoverlap_threshold(*holes)
+    l_bound = (
+        analysis.max_l_for_nonoverlap(trunk, *holes, convention)
+        if trunk is not None
+        else None
+    )
+    if fmt == "json":
         payload = {
             "convention": convention.value,
             "r_plus_l": jsonio.threshold_to_json(bound),
@@ -360,31 +362,25 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    try:
-        results = analysis.verify_claims(inject_failure=args.inject_failure)
-    except DomainError as exc:
-        raise CliError(str(exc)) from exc
-    all_passed = all(r.passed for r in results)
-    if _output_format(args, config) == "json":
+def _cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> int:
+    fmt = _output_format(args, config)
+    results = analysis.verify_claims(inject_failure=args.inject_failure)
+    passed = sum(r.passed for r in results)
+    if fmt == "json":
         print(json.dumps(jsonio.claims_to_json(results), indent=2))
-        return EXIT_OK if all_passed else EXIT_CLAIMS_FAILED
-    for r in results:
-        print(f"{r.claim_id} {'PASS' if r.passed else 'FAIL'}  {r.statement}")
-        print(f"         expected: {r.expected}")
-        print(f"         computed: {r.computed}")
-    passed = sum(1 for r in results if r.passed)
-    print(f"{passed}/{len(results)} claims passed")
-    return EXIT_OK if all_passed else EXIT_CLAIMS_FAILED
+    else:
+        for r in results:
+            print(f"{r.claim_id} {'PASS' if r.passed else 'FAIL'}  {r.statement}")
+            print(f"         expected: {r.expected}")
+            print(f"         computed: {r.computed}")
+        print(f"{passed}/{len(results)} claims passed")
+    return EXIT_OK if passed == len(results) else EXIT_CLAIMS_FAILED
 
 
 def _parse_axis(spec: str) -> analysis.SweepAxis:
-    if "=" not in spec:
-        raise CliError(f"--axis: expected PARAM=START:STOP:STEP, got {spec!r}")
-    param, _, rest = spec.partition("=")
+    param, equals, rest = spec.partition("=")
     parts = rest.split(":")
-    if len(parts) != 3:
+    if not equals or len(parts) != 3:
         raise CliError(f"--axis: expected PARAM=START:STOP:STEP, got {spec!r}")
     start, stop, step = (_parse_length_flag("axis", p.strip()) for p in parts)
     return analysis.SweepAxis(param.strip(), start, stop, step)
@@ -405,18 +401,14 @@ def _sweep_text(grid: analysis.SweepGrid) -> Iterator[str]:
             )
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+def _cmd_sweep(args: argparse.Namespace, config: dict[str, str]) -> int:
+    fmt = _output_format(args, config)
     if not args.axis:
         raise CliError("--axis is required (1 or 2 axes)")
     axes = [_parse_axis(spec) for spec in args.axis]
-    base = _build_scenario(args, config)
-    try:
-        grid = analysis.SweepGrid(base, axes)
-    except DomainError as exc:
-        raise CliError(str(exc)) from exc
+    grid = analysis.SweepGrid(_build_scenario(args, config), axes)
     # Every check that can reject the sweep has run: rows stream from here.
-    if _output_format(args, config) == "json":
+    if fmt == "json":
         sys.stdout.writelines(jsonio.iter_sweep_json(grid))
         sys.stdout.write("\n")
     else:
@@ -424,27 +416,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_render(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+def _cmd_render(args: argparse.Namespace, config: dict[str, str]) -> int:
     scenario = _build_scenario(args, config)
-    try:
-        canvas = CanvasSpec(
-            width_px=args.width,
-            height_px=args.height,
-            margin_px=args.margin,
-            feet_per_px=args.feet_per_px,
-            show_labels=not args.no_labels,
-            angle_exaggeration=args.exaggerate_angle,
-        )
-        svg = render_svg(scenario, canvas)
-    except DomainError as exc:
-        raise CliError(str(exc)) from exc
+    canvas = CanvasSpec(
+        width_px=args.width,
+        height_px=args.height,
+        margin_px=args.margin,
+        feet_per_px=args.feet_per_px,
+        show_labels=not args.no_labels,
+        angle_exaggeration=args.exaggerate_angle,
+    )
+    svg = render_svg(scenario, canvas).encode("utf-8")
     out = Path(args.out)
     try:
-        out.write_bytes(svg.encode("utf-8"))
+        out.write_bytes(svg)
     except OSError as exc:
         raise CliError(f"cannot write {out}: {exc}") from exc
-    print(f"wrote {out} ({len(svg.encode('utf-8'))} bytes)", file=sys.stderr)
+    print(f"wrote {out} ({len(svg)} bytes)", file=sys.stderr)
     return EXIT_OK
 
 
@@ -454,22 +442,19 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.handler(args)
-    except CliError as exc:
-        code, message = exc.exit_code, str(exc)
-    except (ParseError, DomainError) as exc:
-        code, message = EXIT_USAGE, str(exc)
+        return args.handler(args, _load_config(args))
+    except (CliError, ParseError, DomainError) as exc:
+        message = str(exc)
     except OverflowError as exc:
-        code, message = EXIT_USAGE, f"result out of float range: {exc}"
+        message = f"result out of float range: {exc}"
     # One stderr line per error, whatever line breaks the input carried.
     print(f"goldbug: {' '.join(message.splitlines())}", file=sys.stderr)
-    return code
+    return EXIT_USAGE
 
 
 def entry() -> None:

@@ -5,8 +5,8 @@ coordinate distance, a seeded Monte Carlo lens-area estimator, and a
 conservative grid rasterizer for the overlap verdict.  The coordinate
 distance and the rasterizer take the dig centres from the scenario's one
 trig kernel (``scenario._dig_frame``, which :func:`~goldbug.scenario.layout`
-also builds on), as the floats ``layout`` would hold, without building a
-``Layout``.
+also builds on) in the mirror-symmetric frame: the dig centres share their x,
+so both oracles place them at (0, +-h), h being the y ``layout`` gives them.
 
 The Monte Carlo stream is numpy's PCG64 (``numpy.random.default_rng``) drawn
 in fixed chunks of 1,000,000 samples, each chunk its radii then its angles;
@@ -72,11 +72,9 @@ class McEstimate:
 
 def center_distance_oracle(s: Scenario) -> float:
     """Hole-centre distance via coordinates only (no rational shortcut)."""
-    drop_x, half_sep, stretch = _dig_frame(s)
-    # Dig centres A and B, each coordinate the float layout(s) gives.
-    ax, ay = drop_x * stretch, half_sep * stretch
-    bx, by = drop_x * stretch, -half_sep * stretch
-    return math.hypot(ax - bx, ay - by)
+    _, half_sep, stretch = _dig_frame(s)
+    # The dig centres share their x, and their y are +-(half_sep * stretch).
+    return 2.0 * (half_sep * stretch)
 
 
 def lens_area_mc(
@@ -279,8 +277,9 @@ def overlap_oracle_grid(s: Scenario, cells_per_foot: int) -> bool:
     One-sided by design: overlaps thinner than a cell can be missed, but a
     True verdict always certifies a real intersection.  Cells cover the
     intersection of the two circles' bounding boxes (anywhere else a point
-    cannot be inside both), anchored at that region's corner, in a frame
-    centred between the holes so huge scenes keep full float precision.
+    cannot be inside both), anchored at that region's corner, in the
+    mirror-symmetric frame centred between the holes, so huge scenes keep
+    full float precision.
     A grid of more than ``GRID_MAX_CELLS`` cells is refused with
     DomainError before any array is built.
     """
@@ -290,14 +289,10 @@ def overlap_oracle_grid(s: Scenario, cells_per_foot: int) -> bool:
         raise DomainError(f"cells_per_foot must be an integer, got {cells_per_foot!r}") from None
     if cells_per_foot < 16:
         raise DomainError(f"cells_per_foot must be >= 16, got {cells_per_foot}")
-    drop_x, half_sep, stretch = _dig_frame(s)
-    # Dig centres as layout(s) gives them, then moved to the centred frame.
-    dig_ax, dig_ay = drop_x * stretch, half_sep * stretch
-    dig_bx, dig_by = drop_x * stretch, -half_sep * stretch
-    mid_x = (dig_ax + dig_bx) / 2.0
-    mid_y = (dig_ay + dig_by) / 2.0
-    ax, ay = dig_ax - mid_x, dig_ay - mid_y
-    bx, by = dig_bx - mid_x, dig_by - mid_y
+    _, half_sep, stretch = _dig_frame(s)
+    # The dig centres in the frame centred between them.
+    ax, ay = 0.0, half_sep * stretch
+    bx, by = 0.0, -ay
     *_, rA, rB = s.counts
     foot = INCHES_PER_FOOT * s.scale
     ra, rb = rA / foot, rB / foot

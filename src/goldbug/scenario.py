@@ -149,10 +149,7 @@ class Layout:
 def half_angle_sin(s: Scenario) -> Fraction:
     """Exact sine of the half-angle between the two rays: (d/2)/(r+L)."""
     r, L, d, *_ = s.counts
-    drop = r + L
-    if drop == 0:
-        raise DomainError("r+L must be > 0 to define the half-angle")
-    return Fraction(d, 2 * drop)
+    return Fraction(d, 2 * (r + L))
 
 
 def dig_center_radius(s: Scenario) -> Length:
@@ -185,8 +182,6 @@ def _dig_frame(s: Scenario) -> tuple[float, float, float]:
     # rounded value of its exact ratio (the same float as float(Fraction)).
     r, L, d, E, _, _ = s.counts
     drop = r + L
-    if drop == 0:
-        raise DomainError("r+L must be > 0 to define the half-angle")
     ray = (r if s.convention is Convention.FROM_TRUNK else drop) + E
     foot = INCHES_PER_FOOT * s.scale
     drop2 = 4 * drop * drop
@@ -203,8 +198,7 @@ def layout(s: Scenario) -> Layout:
     of :func:`center_distance` so the two can cross-check each other.
     """
     drop_x, half_sep, stretch = _dig_frame(s)
-    r, L, d, *_ = s.counts
-    drop = r + L
+    sin_half_angle = half_angle_sin(s)
     drop_a = Point(drop_x, half_sep)
     drop_b = Point(drop_x, -half_sep)
     return Layout(
@@ -213,6 +207,6 @@ def layout(s: Scenario) -> Layout:
         drop_b=drop_b,
         dig_a=Point(drop_a.x * stretch, drop_a.y * stretch),
         dig_b=Point(drop_b.x * stretch, drop_b.y * stretch),
-        sin_half_angle=Fraction(d, 2 * drop),
-        half_angle_rad=math.asin(d / (2 * drop)),
+        sin_half_angle=sin_half_angle,
+        half_angle_rad=math.asin(sin_half_angle),
     )

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 from goldbug import analysis, jsonio
-from goldbug.cli import CONFIG_ENV_VAR, main
-from goldbug.render import render_svg
+from goldbug.cli import CONFIG_ENV_VAR, build_parser, main
+from goldbug.render import CanvasSpec, render_svg
 from goldbug.scenario import (
     DEFAULT_EXTENSION,
     DEFAULT_HOLE_RADIUS,
@@ -430,6 +430,76 @@ def test_render_reports_unwritable_path(capsys):
     assert "cannot write" in err
 
 
+def test_render_flag_defaults_are_the_canvas_defaults():
+    args = build_parser().parse_args(["render", *STORY_ARGS, "--out", "x.svg"])
+    default = CanvasSpec()
+    assert (
+        args.width,
+        args.height,
+        args.margin,
+        args.feet_per_px,
+        not args.no_labels,
+        args.exaggerate_angle,
+    ) == (
+        default.width_px,
+        default.height_px,
+        default.margin_px,
+        default.feet_per_px,
+        default.show_labels,
+        default.angle_exaggeration,
+    )
+
+
+# ---------------------------------------------------------------------------
+# library errors: each one line on stderr, exit 2, nothing on stdout
+# ---------------------------------------------------------------------------
+
+RADII = ["--rA", "2ft", "--rB", "2ft"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["threshold", "--rA", "0ft", "--rB", "2ft"], "hole radii (rA, rB) must be > 0"),
+        (["threshold", *RADII, "--d", "0in"], "socket separation (d) must be > 0"),
+        (["threshold", *RADII, "--E=-1in"], "extension (E) must be >= 0"),
+        (["threshold", *RADII, "--r=-1in"], "trunk radius (r) must be >= 0"),
+        (
+            ["threshold", *RADII, "--r=-1in", "--convention", "from-trunk"],
+            "trunk radius (r) must be >= 0",
+        ),
+        (["sweep", *STORY_ARGS, "--axis", "L=1ft:2ft:0in"], "sweep step for L must be > 0"),
+        (["sweep", *STORY_ARGS, "--axis", "L=2ft:1ft:1in"], "sweep start > stop for L"),
+        (
+            ["sweep", *STORY_ARGS, "--axis", "L=1in:2in:1in", "--axis", "L=1in:2in:1in"],
+            'duplicate sweep parameter "L"',
+        ),
+        (
+            ["render", *STORY_ARGS, "--exaggerate-angle", "100"],
+            "angle exaggeration 100 pushes the display half-angle past 90 degrees "
+            "(max usable factor 47.74)",
+        ),
+        (
+            ["render", *STORY_ARGS, "--exaggerate-angle", "0.5"],
+            "angle exaggeration factor must be >= 1",
+        ),
+        (["render", *STORY_ARGS, "--margin=-1"], "canvas margin must be >= 0"),
+        (["render", *STORY_ARGS, "--width", "0"], "canvas width/height must be positive"),
+        (
+            ["render", *STORY_ARGS, "--feet-per-px", "nan"],
+            "feet_per_px must be a positive finite number",
+        ),
+    ],
+)
+def test_library_errors_exit_2_with_their_message(capsys, tmp_path, argv, message):
+    out_path = tmp_path / "x.svg"
+    if argv[0] == "render":
+        argv = [*argv, "--out", str(out_path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"goldbug: {message}\n")
+    assert not out_path.exists()
+
+
 # ---------------------------------------------------------------------------
 # config file and precedence
 # ---------------------------------------------------------------------------
@@ -516,6 +586,26 @@ def test_config_not_utf8_is_a_usage_error(capsys, tmp_path):
     lines = err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(f"goldbug: cannot read config file {cfg}: ")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["report"],
+        ["threshold", "--rA", "2ft", "--rB", "2ft"],
+        ["sweep", "--axis", "L=2ft:3ft:1ft"],
+        ["verify-paper"],
+    ],
+)
+def test_config_bad_format_is_a_usage_error(capsys, tmp_path, command):
+    cfg = tmp_path / "gb.cfg"
+    cfg.write_text("r = 2in\nL = 3ft\nformat = jsno\n")
+    code, out, err = run(capsys, *command, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "goldbug: --format: unknown value 'jsno' (expected text or json)"
+    ]
 
 
 def test_config_missing_file(capsys, tmp_path):
