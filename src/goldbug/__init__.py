@@ -41,8 +41,9 @@ from .units import (
 
 __version__ = "0.1.0"
 
-# The oracle needs numpy, which costs more to import than the rest of the
-# package together: its names load on first use (PEP 562).
+# The oracle is the independent verification route, which no closed form
+# needs: its names load on first use (PEP 562), and numpy only with its
+# Monte Carlo and raster calls.
 _ORACLE_NAMES = ("McEstimate", "center_distance_oracle", "lens_area_mc", "overlap_oracle_grid")
 
 

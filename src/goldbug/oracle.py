@@ -30,6 +30,7 @@ estimate does not depend on the CPU count.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
@@ -38,12 +39,14 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 # layout stays bound here although the oracles build their points from
 # _dig_frame: goldbench's tracer wraps the name in this module too.
 from .scenario import Convention, Scenario, _dig_frame, layout  # noqa: F401
 from .units import INCHES_PER_FOOT, DomainError, Length
+
+# numpy, once a Monte Carlo or raster call has imported it (_load_numpy): the
+# rest of the module, and so C4 of the claim suite, runs without it.
+np = None
 
 MC_CHUNK = 1_000_000
 # lens_area_mc reads each chunk in blocks of this many samples: 1.75 MB of
@@ -109,6 +112,7 @@ def lens_area_mc(
     # lens_area's cap: beyond it pi * radius^2 can overflow.
     if max(abs(distance), radius_a, radius_b) > 1e150:
         raise DomainError("inputs too large: the area would overflow")
+    _load_numpy()
 
     rb2 = radius_b * radius_b
     # Float32 screen.  Lengths are scaled by s = radius_a + |distance|, so
@@ -151,6 +155,18 @@ def lens_area_mc(
         samples=samples,
         seed=seed,
     )
+
+
+def _load_numpy() -> None:
+    """Bind the module's ``np`` to numpy, importing it on the first call.
+
+    The numpy routes call it before they start any thread.
+    """
+    global np
+    if np is None:
+        import numpy
+
+        np = numpy
 
 
 def _count_hits(seed: int, samples: int, screen: tuple, exact: tuple) -> int:
@@ -315,6 +331,7 @@ def overlap_oracle_grid(s: Scenario, cells_per_foot: int) -> bool:
             f"the grid would need {nx} x {ny} cells, more than {GRID_MAX_CELLS}:"
             " lower cells_per_foot"
         )
+    _load_numpy()
     xs = lo_x + (np.arange(nx) + 0.5) * step
     ys = lo_y + (np.arange(ny) + 0.5) * step
     # A sparse grid: a row of x and a column of y, broadcast together.
@@ -328,23 +345,25 @@ def overlap_oracle_grid(s: Scenario, cells_per_foot: int) -> bool:
 def random_scenarios(count: int, seed: int) -> list[Scenario]:
     """Deterministic stream of valid scenarios with small exact rationals.
 
-    Uses the stdlib Mersenne Twister (`random.Random`), which is stable
-    across platforms and Python versions for `randint`/`choice`.
+    Every number is a stdlib Mersenne Twister (`random.Random(seed)`)
+    ``getrandbits`` draw with rejection (`_randint`): the draws CPython's
+    `randint` makes, which are stable across platforms and Python versions.
+    A test pins a digest of the stream.
     """
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
     conventions = (Convention.FROM_DROP_POINT, Convention.FROM_TRUNK)
     out: list[Scenario] = []
     while len(out) < count:
         # Arguments are drawn left to right: that order defines the stream.
         try:
             s = Scenario(
-                trunk_radius=_random_length(rng, 0, 96),
-                socket_offset=_random_length(rng, 1, 120),
-                socket_separation=_random_length(rng, 1, 48),
-                extension=Length(Fraction(rng.randint(0, 1200))),
-                hole_radius_a=_random_length(rng, 1, 72),
-                hole_radius_b=_random_length(rng, 1, 72),
-                convention=conventions[rng.randint(0, 1)],
+                trunk_radius=_length(_randint(bits, 0, 96), _randint(bits, 1, 4)),
+                socket_offset=_length(_randint(bits, 1, 120), _randint(bits, 1, 4)),
+                socket_separation=_length(_randint(bits, 1, 48), _randint(bits, 1, 4)),
+                extension=_length(_randint(bits, 0, 1200), 1),
+                hole_radius_a=_length(_randint(bits, 1, 72), _randint(bits, 1, 4)),
+                hole_radius_b=_length(_randint(bits, 1, 72), _randint(bits, 1, 4)),
+                convention=conventions[_randint(bits, 0, 1)],
             )
         except DomainError:
             continue
@@ -352,5 +371,22 @@ def random_scenarios(count: int, seed: int) -> list[Scenario]:
     return out
 
 
-def _random_length(rng: random.Random, lo: int, hi: int) -> Length:
-    return Length(Fraction(rng.randint(lo, hi), rng.randint(1, 4)))
+def _randint(getrandbits, lo: int, hi: int) -> int:
+    """``random.Random.randint(lo, hi)`` on the generator ``getrandbits``
+    belongs to, as CPython draws it: k-bit words, k the bit length of the
+    range's size, redrawn until one falls inside the range."""
+    n = hi - lo + 1
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return lo + r
+
+
+# Lengths are immutable, so random_scenarios shares them between scenarios.
+# Its draws allow at most 1,564 keys: 121 numerators 0..120 over 4
+# denominators, plus the extension's 1,201 whole inches less the 121 already
+# counted.
+@functools.cache
+def _length(num: int, den: int) -> Length:
+    return Length(Fraction(num, den))

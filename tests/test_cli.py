@@ -718,6 +718,7 @@ def test_commands_without_the_oracle_leave_numpy_unloaded(tmp_path):
         "loaded = 'numpy' in sys.modules\n"
         "import goldbug\n"
         "assert goldbug.lens_area_mc.__module__ == 'goldbug.oracle'\n"
+        "goldbug.lens_area_mc(1.0, 1.0, 1.0, 1000, 0)\n"
         "print(loaded, 'numpy' in sys.modules)\n"
     )
     for argv in (
@@ -725,6 +726,7 @@ def test_commands_without_the_oracle_leave_numpy_unloaded(tmp_path):
         ["threshold", "--rA", "2ft", "--rB", "2ft", "--r", "2in"],
         ["sweep", *STORY_ARGS, "--axis", "L=2ft:4ft:1in", "--json"],
         ["render", *STORY_ARGS, "--out", str(tmp_path / "plan.svg")],
+        ["verify-paper"],
     ):
         proc = _run_child(code, *argv)
         assert proc.returncode == 0, proc.stderr
