@@ -6,8 +6,6 @@ from .analysis import (
     ClaimResult,
     OverlapReport,
     SweepAxis,
-    SweepRow,
-    SweepTable,
     Threshold,
     ThresholdKind,
     lens_area,
@@ -15,7 +13,6 @@ from .analysis import (
     nonoverlap_threshold,
     nonoverlap_threshold_from_trunk,
     overlap_report,
-    sweep,
     verify_claims,
 )
 from .render import CanvasFitError, CanvasSpec, render_svg
@@ -36,7 +33,6 @@ from .units import (
     format_exact_inches,
     format_feet_inches,
     parse_length,
-    to_real_feet,
 )
 
 __version__ = "0.1.0"
@@ -68,8 +64,6 @@ __all__ = [
     "Point",
     "Scenario",
     "SweepAxis",
-    "SweepRow",
-    "SweepTable",
     "Threshold",
     "ThresholdKind",
     "center_distance",
@@ -88,7 +82,5 @@ __all__ = [
     "overlap_report",
     "parse_length",
     "render_svg",
-    "sweep",
-    "to_real_feet",
     "verify_claims",
 ]

@@ -2,10 +2,11 @@
 
 Exact rationals travel as ``{"num": int, "den": int, "unit": "in"}`` plus a
 convenience ``decimal`` string; the num/den pair is authoritative and every
-``*_from_json`` reconstructs a value equal to the original.  Key order is
-fixed by construction, so serialized output is byte-deterministic.  A sweep
-can also be streamed row by row (:func:`iter_sweep_json`), in exactly the
-bytes of ``json.dumps(sweep_to_json(table), indent=2)``.
+``*_from_json`` reconstructs a value equal to the original (a sweep row
+decodes with :func:`length_from_json` and :func:`report_from_json`).  Key
+order is fixed by construction, so serialized output is byte-deterministic.
+A sweep can also be streamed row by row (:func:`iter_sweep_json`), in
+exactly the bytes of ``json.dumps(sweep_to_json(table), indent=2)``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .analysis import (
     OverlapReport,
     SweepAxis,
     SweepGrid,
-    SweepRow,
     SweepTable,
     Threshold,
     ThresholdKind,
@@ -138,27 +138,6 @@ def sweep_to_json(table: SweepTable) -> dict[str, Any]:
             for row in table.rows
         ],
     }
-
-
-def sweep_from_json(obj: dict[str, Any]) -> SweepTable:
-    axes = tuple(
-        SweepAxis(
-            param=a["param"],
-            start=length_from_json(a["start"]),
-            stop=length_from_json(a["stop"]),
-            step=length_from_json(a["step"]),
-        )
-        for a in obj["axes"]
-    )
-    rows = tuple(
-        SweepRow(
-            values=tuple((p, length_from_json(v)) for p, v in row["values"].items()),
-            report=None if row["report"] is None else report_from_json(row["report"]),
-            invalid_reason=row["invalid_reason"],
-        )
-        for row in obj["rows"]
-    )
-    return SweepTable(axes=axes, rows=rows)
 
 
 def claims_to_json(results: list[ClaimResult]) -> list[dict[str, Any]]:

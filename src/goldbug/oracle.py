@@ -1,12 +1,13 @@
-"""Independent brute-force verifiers for the closed-form geometry.
+"""Brute-force verifiers for the closed-form geometry.
 
-Three routes that deliberately avoid the rational shortcuts: a trigonometric
-coordinate distance, a seeded Monte Carlo lens-area estimator, and a
-conservative grid rasterizer for the overlap verdict.  The coordinate
-distance and the rasterizer take the dig centres from the scenario's one
-trig kernel (``scenario._dig_frame``, which :func:`~goldbug.scenario.layout`
-also builds on) in the mirror-symmetric frame: the dig centres share their x,
-so both oracles place them at (0, +-h), h being the y ``layout`` gives them.
+Three routes beside the rational closed forms: a float coordinate distance,
+a seeded Monte Carlo lens-area estimator, and a conservative grid rasterizer
+for the overlap verdict.  The distance and the rasterizer place the dig
+centres at (0, +-h), h = half_sep * stretch from ``scenario._dig_frame``, in
+the mirror-symmetric frame centred between them.  So the distance is
+``2 * (half_sep * stretch)``: the similar-triangles AB, d/2 * D/(r+L) twice,
+in float arithmetic and with no trigonometry (the frame's cosine feeds only
+:func:`~goldbug.scenario.layout`).  ROADMAP item 2 restores a trig route.
 
 The Monte Carlo stream is numpy's PCG64 (``numpy.random.default_rng``) drawn
 in fixed chunks of 1,000,000 samples, each chunk its radii then its angles;
@@ -74,9 +75,8 @@ class McEstimate:
 
 
 def center_distance_oracle(s: Scenario) -> float:
-    """Hole-centre distance via coordinates only (no rational shortcut)."""
+    """Hole-centre distance in float coordinates: 2 * (half_sep * stretch)."""
     _, half_sep, stretch = _dig_frame(s)
-    # The dig centres share their x, and their y are +-(half_sep * stretch).
     return 2.0 * (half_sep * stretch)
 
 
@@ -306,17 +306,16 @@ def overlap_oracle_grid(s: Scenario, cells_per_foot: int) -> bool:
     if cells_per_foot < 16:
         raise DomainError(f"cells_per_foot must be >= 16, got {cells_per_foot}")
     _, half_sep, stretch = _dig_frame(s)
-    # The dig centres in the frame centred between them.
-    ax, ay = 0.0, half_sep * stretch
-    bx, by = 0.0, -ay
+    # The dig centres in the frame centred between them: (0, h) and (0, -h).
+    h = half_sep * stretch
     *_, rA, rB = s.counts
     foot = INCHES_PER_FOOT * s.scale
     ra, rb = rA / foot, rB / foot
 
-    lo_x = max(ax - ra, bx - rb)
-    hi_x = min(ax + ra, bx + rb)
-    lo_y = max(ay - ra, by - rb)
-    hi_y = min(ay + ra, by + rb)
+    hi_x = min(ra, rb)
+    lo_x = -hi_x
+    lo_y = max(h - ra, -h - rb)
+    hi_y = min(h + ra, rb - h)
     if lo_x >= hi_x or lo_y >= hi_y:
         return False
 
@@ -334,11 +333,11 @@ def overlap_oracle_grid(s: Scenario, cells_per_foot: int) -> bool:
     _load_numpy()
     xs = lo_x + (np.arange(nx) + 0.5) * step
     ys = lo_y + (np.arange(ny) + 0.5) * step
-    # A sparse grid: a row of x and a column of y, broadcast together.
-    gx, gy = xs, ys[:, np.newaxis]
+    # A sparse grid: a row of x^2 and a column of y, broadcast together.
+    gx2, gy = xs**2, ys[:, np.newaxis]
 
-    in_a = (gx - ax) ** 2 + (gy - ay) ** 2 < ra * ra
-    in_b = (gx - bx) ** 2 + (gy - by) ** 2 < rb * rb
+    in_a = gx2 + (gy - h) ** 2 < ra * ra
+    in_b = gx2 + (gy + h) ** 2 < rb * rb
     return bool(np.any(in_a & in_b))
 
 

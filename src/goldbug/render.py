@@ -185,21 +185,19 @@ def _lens_path(
 ) -> str | None:
     """Path outlining the intersection of the two displayed circles.
 
-    Returns None when the displayed circles do not overlap.  Containment
-    (one circle inside the other) degenerates to the smaller circle drawn
-    as a two-arc path so the circle-element count stays fixed.
+    The circles are mirror images: they share their x, and B lies below A
+    (a larger y in the SVG frame).  Returns None when they do not overlap.
+    Containment (one circle inside the other) degenerates to the smaller
+    circle drawn as a two-arc path so the circle-element count stays fixed.
     """
-    ax, ay = center_a
-    bx, by = center_b
-    dist = math.hypot(bx - ax, by - ay)
+    cx, ay = center_a
+    by = center_b[1]
+    dist = by - ay
     if dist >= radius_a + radius_b:
         return None
     style = 'fill="#cc4444" fill-opacity="0.35" stroke="none"'
     if dist <= abs(radius_a - radius_b):
-        if radius_a <= radius_b:
-            cx, cy, r = ax, ay, radius_a
-        else:
-            cx, cy, r = bx, by, radius_b
+        cy, r = (ay, radius_a) if radius_a <= radius_b else (by, radius_b)
         d = (
             f"M {_fmt(cx - r)} {_fmt(cy)} "
             f"A {_fmt(r)} {_fmt(r)} 0 1 0 {_fmt(cx + r)} {_fmt(cy)} "
@@ -207,17 +205,14 @@ def _lens_path(
         )
         return f'<path class="lens" d="{d}" {style}/>'
 
-    ux, uy = (bx - ax) / dist, (by - ay) / dist
+    # The chord is horizontal, along_a below A's centre.
     along_a = (dist * dist + radius_a * radius_a - radius_b * radius_b) / (2.0 * dist)
     half_chord = math.sqrt(max(0.0, radius_a * radius_a - along_a * along_a))
-    base = (ax + along_a * ux, ay + along_a * uy)
-    p1 = (base[0] - half_chord * uy, base[1] + half_chord * ux)
-    p2 = (base[0] + half_chord * uy, base[1] - half_chord * ux)
-    far_a = (ax + radius_a * ux, ay + radius_a * uy)
-    far_b = (bx - radius_b * ux, by - radius_b * uy)
+    p1 = (cx - half_chord, ay + along_a)
+    p2 = (cx + half_chord, ay + along_a)
 
-    arc1 = _arc_to(center_a, radius_a, p1, p2, far_a)
-    arc2 = _arc_to(center_b, radius_b, p2, p1, far_b)
+    arc1 = _arc_to(center_a, radius_a, p1, p2, (cx, ay + radius_a))
+    arc2 = _arc_to(center_b, radius_b, p2, p1, (cx, by - radius_b))
     d = f"M {_fmt(p1[0])} {_fmt(p1[1])} {arc1} {arc2} Z"
     return f'<path class="lens" d="{d}" {style}/>'
 

@@ -175,8 +175,9 @@ def _dig_frame(s: Scenario) -> tuple[float, float, float]:
     """The floats every layout point is made of: (drop_x, half_sep, stretch).
 
     Drop points sit at (drop_x, +-half_sep) ft and dig centres at those
-    coordinates times stretch = D/(r+L).  This is the one trig route:
-    :func:`layout` and the oracles all build their points from it.
+    coordinates times stretch = D/(r+L).  :func:`layout` and the oracles
+    build their points from it; the cosine enters only drop_x, which only
+    :func:`layout` reads.
     """
     # Every float below is an int true division, so it is the correctly
     # rounded value of its exact ratio (the same float as float(Fraction)).

@@ -2,8 +2,11 @@
 
 Lengths are stored as reduced fractions of inches so that both inch-quoted
 values (2.5") and foot-quoted values (50') stay exact, as do thresholds such
-as 250/91 ft.  All arithmetic is exact; floats appear only at the explicit
-conversion boundary (`to_real_feet`).
+as 250/91 ft.  All arithmetic here is exact and makes no float.  Floats enter
+downstream, each from the correctly rounded float of an exact ratio (an int
+true division, or ``float`` of a Fraction): the lens area
+(`analysis.lens_area`), the oracles, the SVG coordinates (`render`), and the
+decimal strings printed beside exact values in reports and JSON.
 """
 
 from __future__ import annotations
@@ -178,21 +181,10 @@ def _describe_failure(original: str, body: str) -> str:
     return f'missing unit in "{original.strip()}" (use ft, in, or F\'I")'
 
 
-def to_real_feet(x: Length) -> float:
-    """Nearest-even binary float of the exact value in feet."""
-    return float(x.feet)
-
-
-def format_feet_inches(x: Length, round_to_inch: bool = True) -> str:
-    """Render as ``F'I"``, rounding to the nearest whole inch (ties up).
-
-    With ``round_to_inch=False`` the exact fraction of inches is rendered
-    instead (see :func:`format_exact_inches`).
-    """
+def format_feet_inches(x: Length) -> str:
+    """Render as ``F'I"``, rounding to the nearest whole inch (ties up)."""
     if x.inches < 0:
         raise DomainError(f"cannot format negative length {x!r} as feet-inches")
-    if not round_to_inch:
-        return format_exact_inches(x)
     total = math.floor(x.inches + Fraction(1, 2))
     feet, inches = divmod(total, INCHES_PER_FOOT)
     return f"{feet}'{inches}\""

@@ -290,14 +290,24 @@ def test_sweep_json_round_trips(capsys):
         "--axis", "r=0in:1in:1in", "--axis", "L=2.5ft:3ft:0.25ft",
     )
     assert code == 0
-    table = jsonio.sweep_from_json(json.loads(out))
+    doc = json.loads(out)
     base = Scenario(trunk_radius=parse_length("0in"), socket_offset=parse_length("1ft"))
     axes = [
         analysis.SweepAxis("r", parse_length("0in"), parse_length("1in"), parse_length("1in")),
         analysis.SweepAxis("L", parse_length("2.5ft"), parse_length("3ft"), parse_length("0.25ft")),
     ]
-    assert table == analysis.sweep(base, axes)
-    assert len(table.rows) == 6
+    table = analysis.sweep(base, axes)
+    limits = ("start", "stop", "step")
+    assert [
+        analysis.SweepAxis(a["param"], *(jsonio.length_from_json(a[k]) for k in limits))
+        for a in doc["axes"]
+    ] == axes
+    assert len(doc["rows"]) == len(table.rows) == 6
+    for row, expected in zip(doc["rows"], table.rows):
+        values = tuple((p, jsonio.length_from_json(v)) for p, v in row["values"].items())
+        assert values == expected.values
+        assert jsonio.report_from_json(row["report"]) == expected.report
+        assert row["invalid_reason"] is None and expected.invalid_reason is None
 
 
 def test_sweep_marks_invalid_rows(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import xml.etree.ElementTree as ET
@@ -32,6 +33,73 @@ def _by_class(root, tag, cls):
 def test_story_matches_golden_file():
     golden = (GOLDEN_DIR / "plan_r2in_L3ft.svg").read_bytes()
     assert render_svg(STORY).encode("utf-8") == golden
+
+
+def _scene(r, L, **lengths):
+    return Scenario(
+        trunk_radius=parse_length(r),
+        socket_offset=parse_length(L),
+        **{k: parse_length(v) for k, v in lengths.items()},
+    )
+
+
+# sha256 of the rendered bytes, one case per lens geometry.  Tangency sits at
+# r + L = 250/91 ft, where AB is exactly rA + rB = 4 ft.
+RENDER_DIGESTS = {
+    "clear": (
+        _scene("0in", "2ft"),
+        CanvasSpec(),
+        "7bf6e164e9def60c7cb0091fa504322d044615cde785e51221948a2c85de5f3f",
+    ),
+    "partial overlap": (
+        _scene("2in", "3ft"),
+        CanvasSpec(),
+        "1a6cd4bd5f6194db827ada577d507eb6d91ad5f32b04a541592f89f4731e5a8c",
+    ),
+    "A inside B": (
+        _scene("0in", "4ft", hole_radius_a="1ft", hole_radius_b="4ft"),
+        CanvasSpec(width_px=1400),
+        "be918872bd2d4deb58174f6a7b35d5dc46bbad2d6ef40400013eca8248176226",
+    ),
+    "B inside A": (
+        _scene("0in", "4ft", hole_radius_a="4ft", hole_radius_b="1ft"),
+        CanvasSpec(width_px=1400),
+        "524061a9b97c1144090a5d34195418661240e7a5a36d59752946fae188c0d992",
+    ),
+    "tangent, r = 0": (
+        _scene("0in", "250/91ft"),
+        CanvasSpec(),
+        "62b9eadfabc6ca469931b3ed75c9b0382b5291cc7aa208cb700a1e5a3967f2d5",
+    ),
+    "tangent, r = 2in": (
+        _scene("2in", "1409/546ft"),
+        CanvasSpec(),
+        "6d73b38a19d380dae79b829ae541b0ae28e9fb2cc3a4fe419b68654a061d0a8f",
+    ),
+    "d = 2(r+L)": (
+        _scene("1in", "1/4in", socket_separation="2.5in"),
+        CanvasSpec(width_px=400, height_px=400, feet_per_px=0.5),
+        "a54b8a8e71846808ccf419fdf2a66b2628232b42ca8aea88fb47f30a1cfd54eb",
+    ),
+    "exaggerated 7x, no labels": (
+        _scene("2in", "3ft"),
+        CanvasSpec(height_px=1000, angle_exaggeration=7.0, show_labels=False),
+        "d841d54d0b6367054c80ca53beb3b4b449938f61d6de697381c0683e587528fc",
+    ),
+    "exaggerated 7x, no labels, lens": (
+        _scene("2in", "3ft", hole_radius_a="16ft", hole_radius_b="14ft"),
+        CanvasSpec(width_px=1600, height_px=1400, angle_exaggeration=7.0, show_labels=False),
+        "00d39ffea6cf9e4e4d11256b10285185c21891280176056ca006ee80b1dbccaf",
+    ),
+}
+
+
+def test_render_bytes_are_pinned():
+    got = {
+        name: hashlib.sha256(render_svg(s, c).encode("utf-8")).hexdigest()
+        for name, (s, c, _) in RENDER_DIGESTS.items()
+    }
+    assert got == {name: digest for name, (_, _, digest) in RENDER_DIGESTS.items()}
 
 
 def test_rendering_is_deterministic():

@@ -13,7 +13,6 @@ from goldbug.units import (
     format_exact_inches,
     format_feet_inches,
     parse_length,
-    to_real_feet,
 )
 
 
@@ -145,11 +144,6 @@ def test_ordering_and_truthiness():
     assert len({parse_length("2.5in"), parse_length("5/2in")}) == 1
 
 
-def test_to_real_feet_frozen():
-    assert to_real_feet(parse_length("250/91ft")) == 2.7472527472527473
-    assert to_real_feet(parse_length("33in")) == 2.75
-
-
 def test_format_exact_inches():
     assert format_exact_inches(parse_length("33in")) == "33in"
     assert format_exact_inches(parse_length("2.5in")) == "5/2in"
@@ -172,10 +166,6 @@ def test_format_exact_inches():
 )
 def test_format_feet_inches(text, display):
     assert format_feet_inches(parse_length(text)) == display
-
-
-def test_format_feet_inches_exact_mode():
-    assert format_feet_inches(parse_length("2.5in"), round_to_inch=False) == "5/2in"
 
 
 def test_format_feet_inches_rejects_negative():
@@ -202,11 +192,15 @@ def test_addition_is_exact(a, b):
 
 @given(lengths)
 def test_to_real_feet_is_correctly_rounded(x):
-    f = to_real_feet(x)
+    # Every float route (lens area, oracles, SVG, report decimals) starts
+    # from one of these two conversions of an exact ratio.
+    feet = x.feet
+    f = float(feet)
+    assert feet.numerator / feet.denominator == f
     if f == 0.0:
-        assert x.feet == 0
+        assert feet == 0
     else:
-        assert abs(Fraction(f) - x.feet) <= Fraction(math.ulp(abs(f))) / 2
+        assert abs(Fraction(f) - feet) <= Fraction(math.ulp(abs(f))) / 2
 
 
 @given(lengths.filter(lambda x: x.inches >= 0))
