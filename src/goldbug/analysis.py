@@ -1,4 +1,4 @@
-"""Overlap verdicts, non-overlap thresholds, sweeps, and the claim suite.
+"""Overlap verdicts, non-overlap thresholds, and the lens area.
 
 Verdicts and thresholds are computed in exact rational arithmetic (feet), so
 tangency and threshold boundaries are decided without tolerances.  Tangency
@@ -6,18 +6,27 @@ counts as NOT overlapping: the non-overlap condition is the strict AB > rA+rB,
 so overlap is the strict complement AB < rA+rB and equality lands on the
 non-overlap side.  Floating point enters only for the lens area, which
 quantifies how badly overlapping holes merge.
+
+The sweeps live in :mod:`goldbug.sweeps` and the claim suite in
+:mod:`goldbug.claims`, which only ``goldbug sweep`` and ``goldbug
+verify-paper`` import.  Their public names are still served from here: the
+first access to one (``analysis.sweep``, ``from goldbug.analysis import
+verify_claims``) imports its module and binds the name in this module's
+globals, where goldbench's tracer reads it.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass, replace
+import sys
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
 
-from .scenario import (
+# center_distance is unused here but stays bound: goldbench's tracer wraps
+# the name in this module too.
+from .scenario import (  # noqa: F401
     DEFAULT_EXTENSION,
     DEFAULT_SOCKET_SEPARATION,
     PARAMS,
@@ -26,11 +35,10 @@ from .scenario import (
     center_distance,
     scenario_violation,
 )
-from .units import INCHES_PER_FOOT, DomainError, Length, format_exact_feet, format_feet_inches
-
-SWEEP_ROW_LIMIT = 10**6
+from .units import INCHES_PER_FOOT, DomainError, Length
 
 # The parameters a sweep axis can vary: every length but the separation d.
+# Here rather than in sweeps because every command's --help lists them.
 SWEEP_PARAMS = {key: field for key, field in PARAMS.items() if key != "d"}
 
 
@@ -251,320 +259,21 @@ def _check_threshold_inputs(
         raise DomainError("extension (E) must be >= 0")
 
 
-# ---------------------------------------------------------------------------
-# Parameter sweeps
-# ---------------------------------------------------------------------------
-
-# Longest inner sweep axis whose labels are kept for reuse (a few MB).
-_KEPT_LABELS = 10_000
-
-# Called as label(axis, value) to tag each grid value in SweepGrid.rows.
-Label = Callable[["SweepAxis", Length], Any]
-
-
-@dataclass(frozen=True)
-class SweepAxis:
-    param: str
-    start: Length
-    stop: Length
-    step: Length
-
-    def count(self) -> int:
-        """How many of start, start+step, start+2*step, ... are <= stop."""
-        return (self.stop.inches - self.start.inches) // self.step.inches + 1
+# Names that moved to goldbug.sweeps and goldbug.claims, by new home.
+_MOVED = {
+    **dict.fromkeys(
+        ("SWEEP_ROW_LIMIT", "SweepAxis", "SweepGrid", "SweepRow", "SweepTable", "sweep"),
+        "sweeps",
+    ),
+    **dict.fromkeys(("CLAIM_IDS", "ClaimResult", "verify_claims"), "claims"),
+}
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    values: tuple[tuple[str, Length], ...]
-    report: OverlapReport | None
-    invalid_reason: str | None = None
-
-
-@dataclass(frozen=True)
-class SweepTable:
-    axes: tuple[SweepAxis, ...]
-    rows: tuple[SweepRow, ...]
-
-
-class SweepGrid:
-    """A checked sweep whose rows are computed in integer arithmetic.
-
-    Every base and axis length is an integer count of 1/scale inch, scale
-    being the least common denominator of the six base lengths and of the
-    axis starts and steps, so a grid point is six ints and its verdict is an
-    int comparison.  The constructor raises DomainError for anything that
-    rejects the whole sweep, the row count included, before it builds a
-    single grid value.
-    """
-
-    def __init__(self, base: Scenario, axes: Sequence[SweepAxis]) -> None:
-        if not 1 <= len(axes) <= 2:
-            raise DomainError(f"sweep takes 1 or 2 axes, got {len(axes)}")
-        seen = set()
-        for axis in axes:
-            if axis.param not in SWEEP_PARAMS:
-                raise DomainError(
-                    f'unknown sweep parameter "{axis.param}" '
-                    f"(expected one of {', '.join(SWEEP_PARAMS)})"
-                )
-            if axis.param in seen:
-                raise DomainError(f'duplicate sweep parameter "{axis.param}"')
-            seen.add(axis.param)
-            if axis.step.inches <= 0:
-                raise DomainError(f"sweep step for {axis.param} must be > 0")
-            if axis.start.inches > axis.stop.inches:
-                raise DomainError(f"sweep start > stop for {axis.param}")
-        total = math.prod(axis.count() for axis in axes)
-        if total > SWEEP_ROW_LIMIT:
-            raise DomainError(f"sweep would produce {total} rows (limit {SWEEP_ROW_LIMIT})")
-        self.base = base
-        self.axes = tuple(axes)
-        self.scale = math.lcm(
-            base.scale, *(x.denominator for axis in axes for x in (axis.start, axis.step))
-        )
-        self._fields = [n * (self.scale // base.scale) for n in base.counts]
-
-    def _count(self, x: Length) -> int:
-        return x.numerator * (self.scale // x.denominator)
-
-    def _labelled(self, axis: SweepAxis, label: Label) -> Iterator[tuple[int, Any]]:
-        start, step = self._count(axis.start), self._count(axis.step)
-        for value in range(start, start + axis.count() * step, step):
-            yield value, label(axis, Length(Fraction(value, self.scale)))
-
-    def _points(self, label: Label) -> Iterator[tuple[tuple, tuple[int, ...]]]:
-        """(labels, (r, L, d, E, rA, rB)) per grid point, in lexicographic
-        axis order.  Each outer value is labelled when the loop reaches it.
-        Inner labels are made once and reused when the inner axis is at most
-        _KEPT_LABELS long, and remade per row beyond that, so memory stays
-        bounded whatever the grid."""
-        fields = self._fields.copy()
-        outer = self.axes[0]
-        s0 = list(PARAMS).index(outer.param)
-        if len(self.axes) == 1:
-            for fields[s0], l0 in self._labelled(outer, label):
-                yield (l0,), tuple(fields)
-            return
-        inner = self.axes[1]
-        s1 = list(PARAMS).index(inner.param)
-        kept = list(self._labelled(inner, label)) if inner.count() <= _KEPT_LABELS else None
-        for fields[s0], l0 in self._labelled(outer, label):
-            for fields[s1], l1 in kept or self._labelled(inner, label):
-                yield (l0, l1), tuple(fields)
-
-    def rows(self, label: Label) -> Iterator[tuple]:
-        """Evaluate the grid lazily, one _verdicts tuple per point, whose
-        ``labels`` holds ``label(axis, value)`` for each axis value of the
-        point (see _points for how often label runs)."""
-        from_trunk = self.base.convention is Convention.FROM_TRUNK
-        return _verdicts(self._points(label), from_trunk, INCHES_PER_FOOT * self.scale)
-
-
-def sweep(base: Scenario, axes: list[SweepAxis]) -> SweepTable:
-    """Evaluate overlap reports on an exact rational grid.
-
-    Rows come out in lexicographic axis order; a grid point that violates
-    scenario invariants yields an invalid row with the reason rather than
-    aborting the sweep.
-    """
-    grid = SweepGrid(base, axes)
-    rows = []
-    for values, reason, ab, radii, margin, den, overlaps, lens in grid.rows(
-        lambda axis, x: (axis.param, x)
-    ):
-        if reason is not None:
-            rows.append(SweepRow(values, None, reason))
-            continue
-        report = OverlapReport(
-            ab_ft=Fraction(ab, den),
-            radii_sum_ft=Fraction(radii, den),
-            overlaps=overlaps,
-            margin_ft=Fraction(margin, den),
-            lens_area_sqft=lens,
-            scenario=replace(base, **{SWEEP_PARAMS[p]: x for p, x in values}),
-        )
-        rows.append(SweepRow(values, report))
-    return SweepTable(grid.axes, tuple(rows))
-
-
-# ---------------------------------------------------------------------------
-# Claim suite
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ClaimResult:
-    claim_id: str
-    statement: str
-    expected: str
-    computed: str
-    passed: bool
-
-
-CLAIM_IDS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7")
-
-_TWO_FEET = Length.from_feet(2)
-_TWO_INCHES = Length.from_inches(2)
-
-
-def verify_claims(inject_failure: str | None = None) -> list[ClaimResult]:
-    """Run the fixed claim suite C1-C7 and report pass/fail per claim.
-
-    Failures are data, not exceptions.  ``inject_failure`` forcibly fails
-    the named claim so harnesses can prove failures propagate.
-    """
-    if inject_failure is not None and inject_failure not in CLAIM_IDS:
-        raise DomainError(
-            f'unknown claim id "{inject_failure}" (expected one of {", ".join(CLAIM_IDS)})'
-        )
-    results = [
-        _claim_c1(),
-        _claim_c2(),
-        _claim_c3(),
-        _claim_c4(),
-        _claim_c5(),
-        _claim_c6(),
-        _claim_c7(),
-    ]
-    if inject_failure is not None:
-        results = [
-            replace(r, computed="INJECTED-FAULT", passed=False)
-            if r.claim_id == inject_failure
-            else r
-            for r in results
-        ]
-    return results
-
-
-def _claim_c1() -> ClaimResult:
-    expected = Fraction(250, 91)
-    got = nonoverlap_threshold(_TWO_FEET, _TWO_FEET)
-    ok = got.kind is ThresholdKind.FINITE and got.bound_ft == expected
-    return ClaimResult(
-        "C1",
-        "two 2 ft holes stay apart only while r+L < 250/91 ft",
-        format_exact_feet(expected),
-        format_exact_feet(got.bound_ft) if got.bound_ft is not None else got.kind.value,
-        ok,
-    )
-
-
-def _claim_c2() -> ClaimResult:
-    got = format_feet_inches(Length.from_feet(Fraction(250, 91)))
-    return ClaimResult(
-        "C2",
-        "250/91 ft rounds to 2'9\" at whole-inch display",
-        "2'9\"",
-        got,
-        got == "2'9\"",
-    )
-
-
-def _claim_c3() -> ClaimResult:
-    expected = Fraction(1409, 546)
-    got = max_l_for_nonoverlap(_TWO_INCHES, _TWO_FEET, _TWO_FEET)
-    exact_ok = got.kind is ThresholdKind.FINITE and got.bound_ft == expected
-    formatted = (
-        format_feet_inches(Length.from_feet(got.bound_ft))
-        if got.bound_ft is not None
-        else got.kind.value
-    )
-    computed = (
-        f"{format_exact_feet(got.bound_ft)} -> {formatted}"
-        if got.bound_ft is not None
-        else got.kind.value
-    )
-    return ClaimResult(
-        "C3",
-        "with a 2 in trunk the socket offset must stay below 1409/546 ft, i.e. 2'7\"",
-        f"{format_exact_feet(expected)} -> 2'7\"",
-        computed,
-        exact_ok and formatted == "2'7\"",
-    )
-
-
-def _claim_c4() -> ClaimResult:
-    # Deferred import: the oracle module is the independent verification
-    # route and must not be a dependency of the closed forms themselves.
-    from .oracle import center_distance_oracle, random_scenarios
-
-    count = 10_000
-    max_rel = 0.0
-    for s in random_scenarios(count, seed=1843):
-        closed = float(center_distance(s))
-        coord = center_distance_oracle(s)
-        rel = abs(closed - coord) / closed
-        if rel > max_rel:
-            max_rel = rel
-    return ClaimResult(
-        "C4",
-        "closed-form centre distance matches the coordinate construction "
-        f"to 1e-12 relative over {count} random scenarios",
-        "max relative deviation < 1e-12",
-        f"max relative deviation {max_rel:.3e}",
-        max_rel < 1e-12,
-    )
-
-
-def _claim_c5() -> ClaimResult:
-    radii = [Length.from_inches(Fraction(n)) for n in range(2, 14)]
-    offsets = [Length.from_inches(Fraction(n)) for n in range(36, 121)]
-    total = 0
-    overlapping = 0
-    for trunk_radius in radii:
-        for socket_offset in offsets:
-            total += 1
-            s = Scenario(trunk_radius=trunk_radius, socket_offset=socket_offset)
-            if overlap_report(s).overlaps:
-                overlapping += 1
-    return ClaimResult(
-        "C5",
-        "every plausible layout (r >= 2 in, L >= 3 ft, 2 ft holes) overlaps; "
-        "grid r in [2 in, 13 in], L in [3 ft, 10 ft], 1 in steps",
-        f"{total}/{total} overlap",
-        f"{overlapping}/{total} overlap",
-        overlapping == total and total == 12 * 85,
-    )
-
-
-def _claim_c6() -> ClaimResult:
-    radii_b = [Length.from_feet(Fraction(q)) for q in ("2", "9/4", "5/2", "3")]
-    bounds = [nonoverlap_threshold(_TWO_FEET, rb).bound_ft for rb in radii_b]
-    ok = all(b is not None for b in bounds) and all(
-        bounds[i] > bounds[i + 1] for i in range(len(bounds) - 1)
-    )
-    return ClaimResult(
-        "C6",
-        "growing the second hole past 2 ft only tightens the r+L bound",
-        "strictly decreasing bounds for rB in {2, 2.25, 2.5, 3} ft",
-        " > ".join(format_exact_feet(b) for b in bounds if b is not None),
-        ok,
-    )
-
-
-def _claim_c7() -> ClaimResult:
-    from_drop = max_l_for_nonoverlap(
-        _TWO_INCHES, _TWO_FEET, _TWO_FEET, convention=Convention.FROM_DROP_POINT
-    )
-    from_trunk = max_l_for_nonoverlap(
-        _TWO_INCHES, _TWO_FEET, _TWO_FEET, convention=Convention.FROM_TRUNK
-    )
-    ok = (
-        from_drop.bound_ft == Fraction(1409, 546)
-        and from_trunk.bound_ft == Fraction(1409, 576)
-        and from_trunk.bound_ft < from_drop.bound_ft
-    )
-    computed = (
-        f"{format_exact_feet(from_trunk.bound_ft)} < {format_exact_feet(from_drop.bound_ft)}"
-        if from_trunk.bound_ft is not None and from_drop.bound_ft is not None
-        else f"{from_trunk.kind.value} vs {from_drop.kind.value}"
-    )
-    return ClaimResult(
-        "C7",
-        "measuring the 50 ft from the trunk forces a smaller socket offset "
-        "than measuring from the drop points",
-        "1409/576 ft < 1409/546 ft",
-        computed,
-        ok,
-    )
+def __getattr__(name: str):
+    home = _MOVED.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # The import statement's machinery, which -X importtime logs.
+    __import__(f"{__package__}.{home}")
+    value = globals()[name] = getattr(sys.modules[f"{__package__}.{home}"], name)
+    return value

@@ -9,6 +9,15 @@ which override the built-in story defaults.
 ``main`` reads the config file once and hands it to the command, a straight
 line from typed inputs to one library call to an encoder; ``main`` is also
 the one place an error becomes an exit code and its one ``goldbug:`` line.
+
+Each process imports only what its command runs: the JSON encoders
+(``jsonio``) on the JSON branches, the sweeps (``sweeps``) in ``sweep``, the
+claim suite (``claims``) in ``verify-paper`` and the renderer (``render``) in
+``render``.  Without a bytecode cache every module imported is compiled from
+source, so this is most of what a short command costs beyond the
+interpreter.  goldbench's tracer wraps ``json.dumps`` and ``render_svg``
+through this module's names, so ``json`` is imported on every path and
+``render_svg`` is a module-level function that imports the renderer.
 """
 
 from __future__ import annotations
@@ -19,9 +28,9 @@ import os
 import sys
 from collections.abc import Iterator
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import analysis, jsonio
-from .render import CanvasSpec, render_svg
+from . import analysis
 from .scenario import (
     DEFAULT_EXTENSION,
     DEFAULT_HOLE_RADIUS,
@@ -38,6 +47,10 @@ from .units import (
     format_feet_inches,
     parse_length,
 )
+
+if TYPE_CHECKING:
+    from .render import CanvasSpec
+    from .sweeps import SweepGrid
 
 EXIT_OK = 0
 EXIT_CLAIMS_FAILED = 1
@@ -164,20 +177,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="write an SVG diagram of the dig site",
     )
     p_render.add_argument("--out", required=True, help="output SVG path")
-    canvas = CanvasSpec()  # the canvas defaults live in render
-    p_render.add_argument("--width", type=int, default=canvas.width_px, help="canvas width px")
-    p_render.add_argument("--height", type=int, default=canvas.height_px, help="canvas height px")
-    p_render.add_argument("--margin", type=int, default=canvas.margin_px, help="canvas margin px")
-    p_render.add_argument(
-        "--feet-per-px", type=float, default=canvas.feet_per_px, help="scale (feet per pixel)"
-    )
+    # The canvas flags default to None: CanvasSpec holds the defaults (_canvas).
+    p_render.add_argument("--width", type=int, help="canvas width px")
+    p_render.add_argument("--height", type=int, help="canvas height px")
+    p_render.add_argument("--margin", type=int, help="canvas margin px")
+    p_render.add_argument("--feet-per-px", type=float, help="scale (feet per pixel)")
     p_render.add_argument(
         "--no-labels", action="store_true", help="omit point labels"
     )
     p_render.add_argument(
         "--exaggerate-angle",
         type=float,
-        default=canvas.angle_exaggeration,
         metavar="FACTOR",
         help="display-only half-angle multiplier (distances stay true)",
     )
@@ -302,6 +312,8 @@ def _cmd_report(args: argparse.Namespace, config: dict[str, str]) -> int:
     fmt = _output_format(args, config)
     report = analysis.overlap_report(_build_scenario(args, config))
     if fmt == "json":
+        from . import jsonio
+
         print(json.dumps(jsonio.report_to_json(report), indent=2))
         return EXIT_OK
     ab, radii, margin = report.ab_ft, report.radii_sum_ft, report.margin_ft
@@ -349,6 +361,8 @@ def _cmd_threshold(args: argparse.Namespace, config: dict[str, str]) -> int:
         else None
     )
     if fmt == "json":
+        from . import jsonio
+
         payload = {
             "convention": convention.value,
             "r_plus_l": jsonio.threshold_to_json(bound),
@@ -363,10 +377,14 @@ def _cmd_threshold(args: argparse.Namespace, config: dict[str, str]) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> int:
+    from . import claims
+
     fmt = _output_format(args, config)
-    results = analysis.verify_claims(inject_failure=args.inject_failure)
+    results = claims.verify_claims(inject_failure=args.inject_failure)
     passed = sum(r.passed for r in results)
     if fmt == "json":
+        from . import jsonio
+
         print(json.dumps(jsonio.claims_to_json(results), indent=2))
     else:
         for r in results:
@@ -377,16 +395,17 @@ def _cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> int:
     return EXIT_OK if passed == len(results) else EXIT_CLAIMS_FAILED
 
 
-def _parse_axis(spec: str) -> analysis.SweepAxis:
+def _parse_axis(spec: str) -> tuple[str, Length, Length, Length]:
+    """PARAM=START:STOP:STEP as (param, start, stop, step)."""
     param, equals, rest = spec.partition("=")
     parts = rest.split(":")
     if not equals or len(parts) != 3:
         raise CliError(f"--axis: expected PARAM=START:STOP:STEP, got {spec!r}")
     start, stop, step = (_parse_length_flag("axis", p.strip()) for p in parts)
-    return analysis.SweepAxis(param.strip(), start, stop, step)
+    return param.strip(), start, stop, step
 
 
-def _sweep_text(grid: analysis.SweepGrid) -> Iterator[str]:
+def _sweep_text(grid: SweepGrid) -> Iterator[str]:
     header = "".join(f"{axis.param:<12}" for axis in grid.axes)
     yield f"{header}{'AB (ft)':<16}{'margin (ft)':<16}verdict\n"
     for cells, reason, ab, _, margin, den, overlaps, _ in grid.rows(
@@ -402,13 +421,17 @@ def _sweep_text(grid: analysis.SweepGrid) -> Iterator[str]:
 
 
 def _cmd_sweep(args: argparse.Namespace, config: dict[str, str]) -> int:
+    from . import sweeps
+
     fmt = _output_format(args, config)
     if not args.axis:
         raise CliError("--axis is required (1 or 2 axes)")
-    axes = [_parse_axis(spec) for spec in args.axis]
-    grid = analysis.SweepGrid(_build_scenario(args, config), axes)
+    axes = [sweeps.SweepAxis(*_parse_axis(spec)) for spec in args.axis]
+    grid = sweeps.SweepGrid(_build_scenario(args, config), axes)
     # Every check that can reject the sweep has run: rows stream from here.
     if fmt == "json":
+        from . import jsonio
+
         sys.stdout.writelines(jsonio.iter_sweep_json(grid))
         sys.stdout.write("\n")
     else:
@@ -416,17 +439,34 @@ def _cmd_sweep(args: argparse.Namespace, config: dict[str, str]) -> int:
     return EXIT_OK
 
 
+def _canvas(args: argparse.Namespace) -> CanvasSpec:
+    """The canvas the flags ask for; CanvasSpec supplies every flag not given."""
+    from .render import CanvasSpec
+
+    given = {
+        "width_px": args.width,
+        "height_px": args.height,
+        "margin_px": args.margin,
+        "feet_per_px": args.feet_per_px,
+        "angle_exaggeration": args.exaggerate_angle,
+    }
+    return CanvasSpec(
+        show_labels=not args.no_labels, **{k: v for k, v in given.items() if v is not None}
+    )
+
+
+def render_svg(s: Scenario, canvas: CanvasSpec) -> str:
+    """:func:`goldbug.render.render_svg`, imported on the first call, so that
+    only ``render`` loads the renderer.  The name is bound here because
+    goldbench's tracer rebinds it here."""
+    from . import render
+
+    return render.render_svg(s, canvas)
+
+
 def _cmd_render(args: argparse.Namespace, config: dict[str, str]) -> int:
     scenario = _build_scenario(args, config)
-    canvas = CanvasSpec(
-        width_px=args.width,
-        height_px=args.height,
-        margin_px=args.margin,
-        feet_per_px=args.feet_per_px,
-        show_labels=not args.no_labels,
-        angle_exaggeration=args.exaggerate_angle,
-    )
-    svg = render_svg(scenario, canvas).encode("utf-8")
+    svg = render_svg(scenario, _canvas(args)).encode("utf-8")
     out = Path(args.out)
     try:
         out.write_bytes(svg)

@@ -15,19 +15,15 @@ import json
 import math
 from collections.abc import Iterator
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .analysis import (
-    ClaimResult,
-    OverlapReport,
-    SweepAxis,
-    SweepGrid,
-    SweepTable,
-    Threshold,
-    ThresholdKind,
-)
+from .analysis import OverlapReport, Threshold, ThresholdKind
 from .scenario import PARAMS, Convention, Scenario
 from .units import Length, format_feet_inches
+
+if TYPE_CHECKING:  # annotations only: encoding them needs neither module
+    from .claims import ClaimResult
+    from .sweeps import SweepAxis, SweepGrid, SweepTable
 
 
 def length_to_json(x: Length) -> dict[str, Any]:

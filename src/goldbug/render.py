@@ -49,6 +49,14 @@ class CanvasSpec:
 
 
 def _fmt(value: float) -> str:
+    # Every number in the document passes here.  At a tiny feet_per_px on a
+    # huge canvas a coordinate, or a square in the lens's chord algebra (the
+    # squared pixel distance overflows past about 1.3e154 px), is no longer a
+    # finite float: refuse the canvas rather than write nan or inf.
+    if not math.isfinite(value):
+        raise CanvasFitError(
+            f"pixel coordinate {value!r} out of float range (enlarge feet_per_px)"
+        )
     out = f"{value:.4f}"
     return "0.0000" if out == "-0.0000" else out
 

@@ -22,8 +22,8 @@ from goldbug.analysis import (
     max_l_for_nonoverlap,
     nonoverlap_threshold,
     overlap_report,
-    verify_claims,
 )
+from goldbug.claims import verify_claims
 from goldbug.jsonio import claims_to_json
 from goldbug.oracle import center_distance_oracle, lens_area_mc, random_scenarios
 from goldbug.render import render_svg

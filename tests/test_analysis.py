@@ -8,21 +8,17 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from goldbug.analysis import (
-    CLAIM_IDS,
-    SWEEP_ROW_LIMIT,
-    Convention,
-    SweepAxis,
     ThresholdKind,
     lens_area,
     max_l_for_nonoverlap,
     nonoverlap_threshold,
     nonoverlap_threshold_from_trunk,
     overlap_report,
-    sweep,
-    verify_claims,
 )
+from goldbug.claims import CLAIM_IDS, verify_claims
 from goldbug.jsonio import sweep_to_json
-from goldbug.scenario import Scenario
+from goldbug.scenario import Convention, Scenario
+from goldbug.sweeps import SWEEP_ROW_LIMIT, SweepAxis, sweep
 from goldbug.units import DomainError, Length, parse_length
 
 STORY = Scenario(trunk_radius=parse_length("2in"), socket_offset=parse_length("3ft"))
@@ -490,3 +486,39 @@ def test_injected_failure_fails_exactly_one_claim():
 def test_inject_unknown_claim_rejected():
     with pytest.raises(DomainError, match="unknown claim id"):
         verify_claims(inject_failure="C9")
+
+
+# ---------------------------------------------------------------------------
+# Names that moved out of analysis
+# ---------------------------------------------------------------------------
+
+MOVED = {
+    "sweeps": ("SWEEP_ROW_LIMIT", "SweepAxis", "SweepGrid", "SweepRow", "SweepTable", "sweep"),
+    "claims": ("CLAIM_IDS", "ClaimResult", "verify_claims"),
+}
+
+
+def test_moved_names_are_the_objects_in_their_new_homes():
+    import goldbug
+    from goldbug import analysis, claims, sweeps
+
+    homes = {"sweeps": sweeps, "claims": claims}
+    for home, names in MOVED.items():
+        for name in names:
+            moved = getattr(homes[home], name)
+            assert getattr(analysis, name) is moved, name
+            # Bound in the module's dict once looked up, as goldbench's
+            # tracer reads it there.
+            assert vars(analysis)[name] is moved, name
+            if name in goldbug.__all__:
+                assert getattr(goldbug, name) is moved, name
+    assert {n for n in goldbug.__all__ if n in MOVED["sweeps"] + MOVED["claims"]} == {
+        "ClaimResult", "SweepAxis", "verify_claims"
+    }
+    from goldbug.analysis import sweep as old_home
+
+    assert old_home is sweeps.sweep
+    with pytest.raises(AttributeError):
+        analysis.no_such_name  # noqa: B018
+    with pytest.raises(AttributeError):
+        goldbug.no_such_name  # noqa: B018

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -9,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from goldbug import analysis, jsonio
-from goldbug.cli import CONFIG_ENV_VAR, build_parser, main
+from goldbug import claims, jsonio, sweeps
+from goldbug.cli import CONFIG_ENV_VAR, _canvas, build_parser, main
 from goldbug.render import CanvasSpec, render_svg
 from goldbug.scenario import (
     DEFAULT_EXTENSION,
@@ -230,7 +231,7 @@ def test_verify_paper_passes(capsys):
     code, out, _ = run(capsys, "verify-paper")
     assert code == 0
     assert "7/7 claims passed" in out
-    for cid in analysis.CLAIM_IDS:
+    for cid in claims.CLAIM_IDS:
         assert f"{cid} PASS" in out
 
 
@@ -238,7 +239,7 @@ def test_verify_paper_json(capsys):
     code, out, _ = run(capsys, "verify-paper", "--json")
     assert code == 0
     items = json.loads(out)
-    assert [item["id"] for item in items] == list(analysis.CLAIM_IDS)
+    assert [item["id"] for item in items] == list(claims.CLAIM_IDS)
     assert all(item["pass"] for item in items)
     assert all(
         set(item) == {"id", "quote", "expected", "computed", "pass"} for item in items
@@ -293,13 +294,13 @@ def test_sweep_json_round_trips(capsys):
     doc = json.loads(out)
     base = Scenario(trunk_radius=parse_length("0in"), socket_offset=parse_length("1ft"))
     axes = [
-        analysis.SweepAxis("r", parse_length("0in"), parse_length("1in"), parse_length("1in")),
-        analysis.SweepAxis("L", parse_length("2.5ft"), parse_length("3ft"), parse_length("0.25ft")),
+        sweeps.SweepAxis("r", parse_length("0in"), parse_length("1in"), parse_length("1in")),
+        sweeps.SweepAxis("L", parse_length("2.5ft"), parse_length("3ft"), parse_length("0.25ft")),
     ]
-    table = analysis.sweep(base, axes)
+    table = sweeps.sweep(base, axes)
     limits = ("start", "stop", "step")
     assert [
-        analysis.SweepAxis(a["param"], *(jsonio.length_from_json(a[k]) for k in limits))
+        sweeps.SweepAxis(a["param"], *(jsonio.length_from_json(a[k]) for k in limits))
         for a in doc["axes"]
     ] == axes
     assert len(doc["rows"]) == len(table.rows) == 6
@@ -441,22 +442,21 @@ def test_render_reports_unwritable_path(capsys):
 
 
 def test_render_flag_defaults_are_the_canvas_defaults():
-    args = build_parser().parse_args(["render", *STORY_ARGS, "--out", "x.svg"])
-    default = CanvasSpec()
-    assert (
-        args.width,
-        args.height,
-        args.margin,
-        args.feet_per_px,
-        not args.no_labels,
-        args.exaggerate_angle,
-    ) == (
-        default.width_px,
-        default.height_px,
-        default.margin_px,
-        default.feet_per_px,
-        default.show_labels,
-        default.angle_exaggeration,
+    # The parser keeps no canvas defaults of its own: a flag not given takes
+    # CanvasSpec's default, a flag given overrides it.
+    render = ["render", *STORY_ARGS, "--out", "x.svg"]
+    assert _canvas(build_parser().parse_args(render)) == CanvasSpec()
+    flags = [
+        "--width", "900", "--height", "300", "--margin", "5", "--feet-per-px", "0.5",
+        "--no-labels", "--exaggerate-angle", "3",
+    ]
+    assert _canvas(build_parser().parse_args(render + flags)) == CanvasSpec(
+        width_px=900,
+        height_px=300,
+        margin_px=5,
+        feet_per_px=0.5,
+        show_labels=False,
+        angle_exaggeration=3.0,
     )
 
 
@@ -643,6 +643,26 @@ def test_help_exits_cleanly(capsys):
     assert "report" in out and "threshold" in out and "render" in out
 
 
+# sha256 of each --help page at 80 columns.  They guard the help text, the
+# sweep parameter list and the flag defaults included, as imports move.
+HELP_DIGESTS = {
+    (): "bb3ec438e373b76640ae2d257db62c5a4698de28831c286a660759877c46d215",
+    ("report",): "d62aa3f80100fc43ffda98e50d51ef0321927fcf71422cdb601961c714f33f5e",
+    ("threshold",): "ee39a8e7af4e38b35c4f8b00367defa431dd26135565d63f1107cf2c54820425",
+    ("verify-paper",): "8d453daaf46612752fdcc1ac249004c0878da441724125faadd063fbc33d02a9",
+    ("sweep",): "7c96d62d5a425e1ea60f9f474ddb5f581d0774f701900d5f41780e6b4d081ace",
+    ("render",): "8eaab3cb027be2456fc515c30b96dce5c78094ef087f807dea52f8798fc618ff",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_DIGESTS))
+def test_help_pages_are_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, *command, "--help")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == HELP_DIGESTS[command], out
+
+
 def test_help_defaults_come_from_the_scenario_module(capsys):
     assert main(["sweep", "--help"]) == 0
     out = " ".join(capsys.readouterr().out.split())
@@ -703,6 +723,21 @@ def test_render_scale_past_float_range_is_a_usage_error(capsys, tmp_path):
     assert not out_path.exists()
 
 
+def test_render_pixels_past_float_range_are_a_usage_error(capsys, tmp_path):
+    # 1e300 px per foot fits the story in a 10^305 px canvas, but the lens's
+    # squared pixel distance overflows, which used to write nan into the SVG.
+    out_path = tmp_path / "x.svg"
+    huge = "1" + "0" * 305
+    code, out, err = run(
+        capsys, "render", *STORY_ARGS, "--out", str(out_path),
+        "--width", huge, "--height", huge, "--feet-per-px", "1e-300",
+    )
+    assert code == 2
+    assert out == ""
+    assert _one_usage_line(err).startswith("goldbug: pixel coordinate nan out of float range")
+    assert not out_path.exists()
+
+
 def test_threshold_bound_past_float_range_is_a_usage_error(capsys):
     # rA + rB exceeds d = 5/2 in by 10^-400 in, so d*E/(S-d) ~ 1.5e403 in.
     tiny = 10**400
@@ -741,6 +776,38 @@ def test_commands_without_the_oracle_leave_numpy_unloaded(tmp_path):
         proc = _run_child(code, *argv)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split()[-2:] == ["False", "True"], argv
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    code = (
+        "import sys\n"
+        "from goldbug.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print(*sorted(m for m in sys.modules if m.startswith(('goldbug', 'numpy'))))\n"
+    )
+    optional = {
+        "goldbug.claims", "goldbug.jsonio", "goldbug.oracle", "goldbug.render", "goldbug.sweeps",
+        "numpy",
+    }
+    for argv, loaded in (
+        (["report", *STORY_ARGS], set()),
+        (["threshold", "--rA", "2ft", "--rB", "2ft", "--r", "2in"], set()),
+        (["report", *STORY_ARGS, "--json"], {"goldbug.jsonio"}),
+        (["render", *STORY_ARGS, "--out", str(tmp_path / "plan.svg")], {"goldbug.render"}),
+        (["sweep", *STORY_ARGS, "--axis", "L=2ft:4ft:1in"], {"goldbug.sweeps"}),
+        (["sweep", *STORY_ARGS, "--axis", "L=2ft:4ft:1in", "--json"],
+         {"goldbug.sweeps", "goldbug.jsonio"}),
+        (["verify-paper"], {"goldbug.claims", "goldbug.oracle"}),
+        (["verify-paper", "--json"], {"goldbug.claims", "goldbug.oracle", "goldbug.jsonio"}),
+    ):
+        proc = _run_child(code, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert set(proc.stdout.split()) & optional == loaded, argv
+    proc = _run_child(
+        "import sys, goldbug.analysis\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('goldbug')))\n"
+    )
+    assert proc.stdout.split() == ["goldbug", "goldbug.analysis", "goldbug.scenario", "goldbug.units"]
 
 
 def test_a_length_with_too_many_digits_is_a_usage_error(capsys, tmp_path):

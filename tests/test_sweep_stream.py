@@ -15,11 +15,12 @@ from fractions import Fraction
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from goldbug import analysis
-from goldbug.analysis import SWEEP_PARAMS, SweepAxis, SweepRow, SweepTable, overlap_report, sweep
+from goldbug import sweeps
+from goldbug.analysis import SWEEP_PARAMS, overlap_report
 from goldbug.cli import main
 from goldbug.jsonio import sweep_to_json
 from goldbug.scenario import Convention, Scenario
+from goldbug.sweeps import SweepAxis, SweepRow, SweepTable, sweep
 from goldbug.units import DomainError, Length
 
 FIELDS = {"r": "trunk_radius", "L": "socket_offset", "d": "socket_separation",
@@ -130,7 +131,7 @@ def test_streamed_sweep_matches_the_per_point_reference(grid):
 
 
 def test_long_inner_axes_are_labelled_per_row(monkeypatch):
-    monkeypatch.setattr(analysis, "_KEPT_LABELS", 2)
+    monkeypatch.setattr(sweeps, "_KEPT_LABELS", 2)
     base = Scenario(trunk_radius=_inches(0, 1), socket_offset=_inches(36, 1))
     axes = [
         SweepAxis("r", _inches(0, 1), _inches(2, 1), _inches(1, 1)),
