@@ -6,9 +6,11 @@ JSON goes to stdout, diagnostics to stderr.  Scenario flags override config
 file values (``--config`` or $GOLDBUG_CONFIG, flat ``key = value`` lines),
 which override the built-in story defaults.
 
-``main`` reads the config file once and hands it to the command, a straight
-line from typed inputs to one library call to an encoder; ``main`` is also
-the one place an error becomes an exit code and its one ``goldbug:`` line.
+``main`` reads the config file once and folds it under the flags: each
+config value fills its flag's attribute where the flag was not given, so a
+command reads one namespace, a straight line from typed inputs to one
+library call to an encoder.  ``main`` is also the one place an error
+becomes an exit code and its one ``goldbug:`` line.
 
 Each process imports only what its command runs: the JSON encoders
 (``jsonio``) on the JSON branches, the sweeps (``sweeps``) in ``sweep``, the
@@ -202,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args: argparse.Namespace) -> dict[str, str]:
-    path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
+    path = args.config or os.environ.get(CONFIG_ENV_VAR)
     if not path:
         return {}
     try:
@@ -227,13 +229,6 @@ def _load_config(args: argparse.Namespace) -> dict[str, str]:
     return config
 
 
-def _effective(args: argparse.Namespace, config: dict[str, str], key: str) -> str | None:
-    flag_value = getattr(args, key, None)
-    if flag_value is not None:
-        return flag_value
-    return config.get(key)
-
-
 def _parse_length_flag(key: str, raw: str) -> Length:
     try:
         length = parse_length(raw)
@@ -244,19 +239,17 @@ def _parse_length_flag(key: str, raw: str) -> Length:
     return length
 
 
-def _lengths(
-    args: argparse.Namespace, config: dict[str, str], required: tuple[str, ...]
-) -> dict[str, Length]:
+def _lengths(args: argparse.Namespace, required: tuple[str, ...]) -> dict[str, Length]:
     """Every scenario length given by flag or config file, parsed, by short
     name; the keys in ``required`` must be among them."""
-    if getattr(args, "depth", None) is not None:
+    if args.depth is not None:
         raise CliError(
             "--depth: hole depth is not modeled; this tool analyzes plan-view "
             "overlap only (see README, scope)"
         )
     lengths: dict[str, Length] = {}
     for key in PARAMS:
-        raw = _effective(args, config, key)
+        raw = getattr(args, key)
         if raw is not None:
             lengths[key] = _parse_length_flag(key, raw)
     for key in required:
@@ -265,9 +258,9 @@ def _lengths(
     return lengths
 
 
-def _convention(args: argparse.Namespace, config: dict[str, str]) -> Convention | None:
+def _convention(args: argparse.Namespace) -> Convention | None:
     """The --convention flag or config value, checked; None when unset."""
-    raw = _effective(args, config, "convention")
+    raw = args.convention
     if raw is None:
         return None
     try:
@@ -279,10 +272,10 @@ def _convention(args: argparse.Namespace, config: dict[str, str]) -> Convention 
         ) from exc
 
 
-def _build_scenario(args: argparse.Namespace, config: dict[str, str]) -> Scenario:
-    lengths = _lengths(args, config, required=("r", "L"))
+def _build_scenario(args: argparse.Namespace) -> Scenario:
+    lengths = _lengths(args, required=("r", "L"))
     fields: dict[str, object] = {PARAMS[key]: x for key, x in lengths.items()}
-    convention = _convention(args, config)
+    convention = _convention(args)
     if convention is not None:
         fields["convention"] = convention
     try:
@@ -291,11 +284,11 @@ def _build_scenario(args: argparse.Namespace, config: dict[str, str]) -> Scenari
         raise CliError(f"invalid scenario: {exc}") from exc
 
 
-def _output_format(args: argparse.Namespace, config: dict[str, str]) -> str:
+def _output_format(args: argparse.Namespace) -> str:
     """--json, else the --format flag or config value, checked; text when unset."""
-    if getattr(args, "json", False):
+    if args.json:
         return "json"
-    raw = _effective(args, config, "format")
+    raw = args.format
     if raw is None:
         return "text"
     if raw not in ("text", "json"):
@@ -308,9 +301,9 @@ def _output_format(args: argparse.Namespace, config: dict[str, str]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_report(args: argparse.Namespace, config: dict[str, str]) -> int:
-    fmt = _output_format(args, config)
-    report = analysis.overlap_report(_build_scenario(args, config))
+def _cmd_report(args: argparse.Namespace) -> int:
+    fmt = _output_format(args)
+    report = analysis.overlap_report(_build_scenario(args))
     if fmt == "json":
         from . import jsonio
 
@@ -338,10 +331,10 @@ def _threshold_line(label: str, t: analysis.Threshold) -> str:
     )
 
 
-def _cmd_threshold(args: argparse.Namespace, config: dict[str, str]) -> int:
-    fmt = _output_format(args, config)
-    lengths = _lengths(args, config, required=("rA", "rB"))
-    convention = _convention(args, config) or Convention.FROM_DROP_POINT
+def _cmd_threshold(args: argparse.Namespace) -> int:
+    fmt = _output_format(args)
+    lengths = _lengths(args, required=("rA", "rB"))
+    convention = _convention(args) or Convention.FROM_DROP_POINT
     trunk = lengths.get("r")
     holes = (
         lengths["rA"],
@@ -376,10 +369,10 @@ def _cmd_threshold(args: argparse.Namespace, config: dict[str, str]) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     from . import claims
 
-    fmt = _output_format(args, config)
+    fmt = _output_format(args)
     results = claims.verify_claims(inject_failure=args.inject_failure)
     passed = sum(r.passed for r in results)
     if fmt == "json":
@@ -420,14 +413,14 @@ def _sweep_text(grid: SweepGrid) -> Iterator[str]:
             )
 
 
-def _cmd_sweep(args: argparse.Namespace, config: dict[str, str]) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> int:
     from . import sweeps
 
-    fmt = _output_format(args, config)
+    fmt = _output_format(args)
     if not args.axis:
         raise CliError("--axis is required (1 or 2 axes)")
     axes = [sweeps.SweepAxis(*_parse_axis(spec)) for spec in args.axis]
-    grid = sweeps.SweepGrid(_build_scenario(args, config), axes)
+    grid = sweeps.SweepGrid(_build_scenario(args), axes)
     # Every check that can reject the sweep has run: rows stream from here.
     if fmt == "json":
         from . import jsonio
@@ -464,8 +457,8 @@ def render_svg(s: Scenario, canvas: CanvasSpec) -> str:
     return render.render_svg(s, canvas)
 
 
-def _cmd_render(args: argparse.Namespace, config: dict[str, str]) -> int:
-    scenario = _build_scenario(args, config)
+def _cmd_render(args: argparse.Namespace) -> int:
+    scenario = _build_scenario(args)
     svg = render_svg(scenario, _canvas(args)).encode("utf-8")
     out = Path(args.out)
     try:
@@ -487,7 +480,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.handler(args, _load_config(args))
+        for key, value in _load_config(args).items():
+            if getattr(args, key, None) is None:
+                setattr(args, key, value)
+        return args.handler(args)
     except (CliError, ParseError, DomainError) as exc:
         message = str(exc)
     except OverflowError as exc:

@@ -194,59 +194,39 @@ def _lens_path(
     """Path outlining the intersection of the two displayed circles.
 
     The circles are mirror images: they share their x, and B lies below A
-    (a larger y in the SVG frame).  Returns None when they do not overlap.
-    Containment (one circle inside the other) degenerates to the smaller
-    circle drawn as a two-arc path so the circle-element count stays fixed.
+    (a larger y in the SVG frame), so their chord is horizontal.  Both arcs
+    turn one way (sweep flag 0), each the large one when the chord lies
+    beyond its own centre.  Returns None when the circles are clear or touch
+    from outside (the chord ends print as one point between the centres).
+    Containment, touching or not, draws the smaller circle as a two-arc path
+    so the circle-element count stays fixed.
     """
     cx, ay = center_a
     by = center_b[1]
     dist = by - ay
     if dist >= radius_a + radius_b:
         return None
-    style = 'fill="#cc4444" fill-opacity="0.35" stroke="none"'
-    if dist <= abs(radius_a - radius_b):
-        cy, r = (ay, radius_a) if radius_a <= radius_b else (by, radius_b)
-        d = (
-            f"M {_fmt(cx - r)} {_fmt(cy)} "
-            f"A {_fmt(r)} {_fmt(r)} 0 1 0 {_fmt(cx + r)} {_fmt(cy)} "
-            f"A {_fmt(r)} {_fmt(r)} 0 1 0 {_fmt(cx - r)} {_fmt(cy)} Z"
-        )
-        return f'<path class="lens" d="{d}" {style}/>'
-
-    # The chord is horizontal, along_a below A's centre.
-    along_a = (dist * dist + radius_a * radius_a - radius_b * radius_b) / (2.0 * dist)
-    half_chord = math.sqrt(max(0.0, radius_a * radius_a - along_a * along_a))
-    p1 = (cx - half_chord, ay + along_a)
-    p2 = (cx + half_chord, ay + along_a)
-
-    arc1 = _arc_to(center_a, radius_a, p1, p2, (cx, ay + radius_a))
-    arc2 = _arc_to(center_b, radius_b, p2, p1, (cx, by - radius_b))
-    d = f"M {_fmt(p1[0])} {_fmt(p1[1])} {arc1} {arc2} Z"
-    return f'<path class="lens" d="{d}" {style}/>'
-
-
-def _arc_to(
-    center: tuple[float, float],
-    radius: float,
-    start: tuple[float, float],
-    end: tuple[float, float],
-    through: tuple[float, float],
-) -> str:
-    """SVG arc command from start to end on the given circle, choosing the
-    sweep that passes through the given waypoint."""
-    two_pi = 2.0 * math.pi
-    a_start = math.atan2(start[1] - center[1], start[0] - center[0])
-    a_end = math.atan2(end[1] - center[1], end[0] - center[0])
-    a_through = math.atan2(through[1] - center[1], through[0] - center[0])
-    ccw_span = (a_end - a_start) % two_pi
-    ccw_to_through = (a_through - a_start) % two_pi
-    if ccw_to_through <= ccw_span:
-        sweep = 1  # increasing angle in SVG's y-down frame
-        large = 1 if ccw_span > math.pi else 0
-    else:
-        sweep = 0
-        large = 1 if (two_pi - ccw_span) > math.pi else 0
-    return (
-        f"A {_fmt(radius)} {_fmt(radius)} 0 {large} {sweep} "
-        f"{_fmt(end[0])} {_fmt(end[1])}"
+    if dist > abs(radius_a - radius_b):
+        # The chord lies along_a below A's centre.
+        along_a = (dist * dist + radius_a * radius_a - radius_b * radius_b) / (2.0 * dist)
+        half_chord = math.sqrt(max(0.0, radius_a * radius_a - along_a * along_a))
+        chord_y = ay + along_a
+        y, left, right = _fmt(chord_y), _fmt(cx - half_chord), _fmt(cx + half_chord)
+        if left != right:
+            ra, rb = _fmt(radius_a), _fmt(radius_b)
+            return _lens(
+                f"M {left} {y} A {ra} {ra} 0 {int(chord_y < ay)} 0 {right} {y} "
+                f"A {rb} {rb} 0 {int(chord_y > by)} 0 {left} {y} Z"
+            )
+        if 0 < along_a < dist:
+            return None
+    cy, r = (ay, radius_a) if radius_a <= radius_b else (by, radius_b)
+    return _lens(
+        f"M {_fmt(cx - r)} {_fmt(cy)} "
+        f"A {_fmt(r)} {_fmt(r)} 0 1 0 {_fmt(cx + r)} {_fmt(cy)} "
+        f"A {_fmt(r)} {_fmt(r)} 0 1 0 {_fmt(cx - r)} {_fmt(cy)} Z"
     )
+
+
+def _lens(d: str) -> str:
+    return f'<path class="lens" d="{d}" fill="#cc4444" fill-opacity="0.35" stroke="none"/>'

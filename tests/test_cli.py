@@ -119,6 +119,19 @@ def test_report_with_an_underflowing_radius_has_a_zero_lens(capsys):
     assert payload["lens_area_sqft"] == 0.0
 
 
+# Radii of 10^160 in: the exact verdict is known, but lens_area refuses the
+# float area, which would overflow.
+HUGE_RADIUS = "1" + "0" * 160 + "in"
+HUGE_HOLES = ["--r", "0in", "--L", "2in", "--rA", HUGE_RADIUS, "--rB", HUGE_RADIUS]
+LENS_TOO_LARGE = "lens_area inputs too large: the area would overflow"
+
+
+def test_report_whose_lens_area_is_refused_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "report", *HUGE_HOLES)
+    assert (code, out) == (2, "")
+    assert _one_usage_line(err) == f"goldbug: {LENS_TOO_LARGE}"
+
+
 def test_depth_is_rejected_with_a_pointer(capsys):
     code, _, err = run(capsys, "report", *STORY_ARGS, "--depth", "7ft")
     assert code == 2
@@ -330,6 +343,26 @@ def test_sweep_row_with_an_underflowing_radius_is_valid(capsys):
     assert row["report"]["lens_area_sqft"] == 0.0
 
 
+def test_sweep_rows_whose_lens_area_is_refused_are_invalid(capsys):
+    argv = ["sweep", *HUGE_HOLES, "--axis", "L=2in:3in:1in"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    verdicts = [line.split(None, 3)[3] for line in out.splitlines()[1:]]
+    assert verdicts == [f"invalid: {LENS_TOO_LARGE}"] * 2
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["rows"]
+    assert [(row["report"], row["invalid_reason"]) for row in rows] == [
+        (None, LENS_TOO_LARGE)
+    ] * 2
+
+
+def test_length_from_json_refuses_a_unit_other_than_inches():
+    assert jsonio.length_from_json({"num": 3, "den": 2}) == parse_length("3/2in")
+    with pytest.raises(ValueError, match="unsupported length unit 'ft'"):
+        jsonio.length_from_json({"num": 3, "den": 2, "unit": "ft"})
+
+
 def test_sweep_requires_axis(capsys):
     code, _, err = run(capsys, "sweep", *STORY_ARGS)
     assert code == 2
@@ -431,6 +464,27 @@ def test_render_reports_canvas_misfit(capsys, tmp_path):
     )
     assert code == 2
     assert "enlarge the canvas" in err
+
+
+def test_holes_touching_from_outside_get_no_lens(capsys, tmp_path):
+    # AB = rA + rB = 1203/146 ft exactly; the chord ends print as one point.
+    scene = [
+        "--r", "20in", "--L", "53in", "--d", "9in", "--E", "729in",
+        "--rA", "1in", "--rB", "7145/73in",
+    ]
+    code, out, _ = run(capsys, "report", *scene)
+    assert code == 0
+    assert "overlaps   = no" in out
+    assert "margin     = 0 ft  (0.000000 ft)" in out
+    out_path = tmp_path / "touch.svg"
+    code, _, _ = run(
+        capsys, "render", *scene, "--out", str(out_path),
+        "--width", "6000", "--height", "2000", "--feet-per-px", "0.1",
+    )
+    assert code == 0
+    svg = out_path.read_text()
+    assert 'class="hole"' in svg
+    assert 'class="lens"' not in svg
 
 
 def test_render_reports_unwritable_path(capsys):

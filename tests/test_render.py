@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 import re
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from goldbug.render import CanvasFitError, CanvasSpec, render_svg
+from goldbug.render import CanvasFitError, CanvasSpec, _fmt, _lens_path, render_svg
 from goldbug.scenario import Scenario
 from goldbug.units import DomainError, parse_length
 
@@ -90,6 +91,13 @@ RENDER_DIGESTS = {
         _scene("2in", "3ft", hole_radius_a="16ft", hole_radius_b="14ft"),
         CanvasSpec(width_px=1600, height_px=1400, angle_exaggeration=7.0, show_labels=False),
         "00d39ffea6cf9e4e4d11256b10285185c21891280176056ca006ee80b1dbccaf",
+    ),
+    # AB = 205/96 ft = rB - rA exactly: hole A touches hole B from inside.
+    "internal tangency": (
+        _scene("8in", "6in", socket_separation="35/4in", extension="27in",
+               hole_radius_a="5in", hole_radius_b="245/8in"),
+        CanvasSpec(),
+        "977d71a103f6c534675a2292121b1012128f1fe519c5909ddfeaa9f0cae69e0c",
     ),
 }
 
@@ -261,3 +269,133 @@ def test_scene_must_fit_the_canvas():
 def test_canvas_spec_validation(kwargs):
     with pytest.raises(DomainError):
         CanvasSpec(**kwargs)
+
+
+def test_internal_tangency_shades_the_smaller_hole():
+    s, c, _ = RENDER_DIGESTS["internal tangency"]
+    (lens,) = _by_class(_parse(render_svg(s, c)), "path", "lens")
+    assert lens.get("d") == (
+        "M 605.2680 87.2917 A 8.3333 8.3333 0 1 0 621.9347 87.2917 "
+        "A 8.3333 8.3333 0 1 0 605.2680 87.2917 Z"
+    )
+
+
+# The arc solver _lens_path replaced: each arc's flags from three atan2s and
+# a waypoint.  It is the reference for the mirror-frame flags.
+def _reference_lens_path(center_a, radius_a, center_b, radius_b):
+    cx, ay = center_a
+    by = center_b[1]
+    dist = by - ay
+    if dist >= radius_a + radius_b:
+        return None
+    style = 'fill="#cc4444" fill-opacity="0.35" stroke="none"'
+    if dist <= abs(radius_a - radius_b):
+        cy, r = (ay, radius_a) if radius_a <= radius_b else (by, radius_b)
+        d = (
+            f"M {_fmt(cx - r)} {_fmt(cy)} "
+            f"A {_fmt(r)} {_fmt(r)} 0 1 0 {_fmt(cx + r)} {_fmt(cy)} "
+            f"A {_fmt(r)} {_fmt(r)} 0 1 0 {_fmt(cx - r)} {_fmt(cy)} Z"
+        )
+        return f'<path class="lens" d="{d}" {style}/>'
+
+    along_a = (dist * dist + radius_a * radius_a - radius_b * radius_b) / (2.0 * dist)
+    half_chord = math.sqrt(max(0.0, radius_a * radius_a - along_a * along_a))
+    p1 = (cx - half_chord, ay + along_a)
+    p2 = (cx + half_chord, ay + along_a)
+
+    arc1 = _reference_arc_to(center_a, radius_a, p1, p2, (cx, ay + radius_a))
+    arc2 = _reference_arc_to(center_b, radius_b, p2, p1, (cx, by - radius_b))
+    d = f"M {_fmt(p1[0])} {_fmt(p1[1])} {arc1} {arc2} Z"
+    return f'<path class="lens" d="{d}" {style}/>'
+
+
+def _reference_arc_to(center, radius, start, end, through):
+    two_pi = 2.0 * math.pi
+    a_start = math.atan2(start[1] - center[1], start[0] - center[0])
+    a_end = math.atan2(end[1] - center[1], end[0] - center[0])
+    a_through = math.atan2(through[1] - center[1], through[0] - center[0])
+    ccw_span = (a_end - a_start) % two_pi
+    ccw_to_through = (a_through - a_start) % two_pi
+    if ccw_to_through <= ccw_span:
+        sweep = 1  # increasing angle in SVG's y-down frame
+        large = 1 if ccw_span > math.pi else 0
+    else:
+        sweep = 0
+        large = 1 if (two_pi - ccw_span) > math.pi else 0
+    return (
+        f"A {_fmt(radius)} {_fmt(radius)} 0 {large} {sweep} "
+        f"{_fmt(end[0])} {_fmt(end[1])}"
+    )
+
+
+def _smaller_disc_path(center_a, radius_a, center_b, radius_b):
+    # The reference's containment path, with the larger disc moved onto the
+    # smaller one's centre.
+    center, r = (center_a, radius_a) if radius_a <= radius_b else (center_b, radius_b)
+    return _reference_lens_path(center, r, center, r + 1)
+
+
+def _mirror_lens_inputs(rng, count):
+    """Hole pairs in pixels, B below A on one vertical: separate, equal,
+    exactly and nearly tangent from outside and inside, contained, and
+    Pythagorean (the chord through a centre), each kind in turn."""
+    kinds = ("any", "equal", "outside", "inside", "contained", "pythagorean")
+    for i in range(count):
+        kind = kinds[i % len(kinds)]
+        cx, ay = rng.uniform(0, 20000), rng.uniform(0, 20000)
+        scale = 10 ** rng.uniform(-2, 3.5)
+        ra, rb = scale * rng.uniform(0.01, 1), scale * rng.uniform(0.01, 1)
+        hair = rng.choice((0.0, 0.0, 1e-9, -1e-9, 1e-6, -1e-6)) * scale
+        if kind == "any":
+            dist = rng.uniform(0, 2.2) * max(ra, rb)
+        elif kind == "equal":
+            rb = ra
+            dist = rng.uniform(0, 2.2) * ra
+        elif kind == "outside":
+            dist = ra + rb + hair
+        elif kind == "inside":
+            dist = abs(ra - rb) + hair
+        elif kind == "contained":
+            dist = rng.uniform(0, 1) * abs(ra - rb)
+        else:
+            m, n = rng.randint(2, 40), rng.randint(1, 39)
+            if m <= n:
+                m, n = n + 1, m
+            a, b, c = m * m - n * n, 2 * m * n, m * m + n * n
+            leg, other = (a, b) if rng.random() < 0.5 else (b, a)
+            unit = scale / c
+            ra, dist, rb = leg * unit, other * unit, c * unit
+            if rng.random() < 0.5:
+                ra, rb = rb, ra
+        yield kind, (cx, ay), ra, (cx, ay + abs(dist)), rb
+
+
+def test_lens_flags_match_the_arc_solver_on_mirror_symmetric_holes():
+    rng = random.Random(1843)
+    seen = dict.fromkeys(("same path", "touch outside", "touch inside", "semicircle"), 0)
+    for kind, center_a, ra, center_b, rb in _mirror_lens_inputs(rng, 24_000):
+        got = _lens_path(center_a, ra, center_b, rb)
+        want = _reference_lens_path(center_a, ra, center_b, rb)
+        dist = center_b[1] - center_a[1]
+        if want is None or dist <= abs(ra - rb):
+            assert got == want
+            continue
+        along_a = (dist * dist + ra * ra - rb * rb) / (2.0 * dist)
+        start, arc1_end = re.search(r'd="M (\S+) \S+ A(?: \S+){5} (\S+)', want).groups()
+        if start == arc1_end:
+            if 0 < along_a < dist:
+                seen["touch outside"] += 1
+                assert got is None
+            else:
+                seen["touch inside"] += 1
+                assert got == _smaller_disc_path(center_a, ra, center_b, rb)
+        elif min(abs(along_a), abs(along_a - dist)) > 1e-9:
+            seen["same path"] += 1
+            assert got == want
+        else:
+            # The chord runs through a centre: either large-arc flag draws
+            # the same semicircle.
+            seen["semicircle"] += 1
+            unflag = re.compile(r"( 0 )[01]( [01] )")
+            assert unflag.sub(r"\1_\2", got) == unflag.sub(r"\1_\2", want)
+    assert min(seen.values()) >= 100, seen
